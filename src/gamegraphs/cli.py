@@ -351,8 +351,6 @@ def _cmd_atlas(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="gamegraphs", description=__doc__)
-    ap.add_argument("--jobs", type=int, default=1,
-                    help="worker budget; results are schedule-independent")
     top = ap.add_subparsers(dest="verb", required=True)
 
     gen = top.add_parser("gen", help="construct graphs").add_subparsers(dest="sub", required=True)
@@ -486,8 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.jobs < 1:
-        ap.error("--jobs must be at least 1")
     try:
         return args.func(args)
     except DomainError as exc:

@@ -148,8 +148,11 @@ class DecompReport:
     witness: tuple[tuple[int, ...], ...]
 
 
-def _all_cycles(p: int, edges: list[tuple[int, int]], max_cycles: int) -> list[tuple[int, tuple[int, ...], int]]:
-    """Every vertex-simple cycle as (length, vertex tuple, edge mask), sorted.
+def _all_cycles(
+    p: int, edges: list[tuple[int, int]], max_cycles: int, max_len: int
+) -> list[tuple[int, tuple[int, ...], int]]:
+    """Every vertex-simple cycle of length <= max_len as (length, vertex tuple,
+    edge mask), sorted.
 
     Cycles are rooted at their least vertex, so each appears exactly once.
     """
@@ -167,7 +170,7 @@ def _all_cycles(p: int, edges: list[tuple[int, int]], max_cycles: int) -> list[t
         for w in succ[v]:
             if w == start and len(path) >= 3:
                 cycles.append((len(path), tuple(path), mask | (1 << eidx[(v, start)])))
-            elif w > start and not (visited >> w) & 1:
+            elif w > start and len(path) < max_len and not (visited >> w) & 1:
                 path.append(w)
                 dfs(start, w, visited | (1 << w), path, mask | (1 << eidx[(v, w)]))
                 path.pop()
@@ -181,17 +184,26 @@ def _all_cycles(p: int, edges: list[tuple[int, int]], max_cycles: int) -> list[t
 def span(d: GraphLike, node_budget: int = 50_000_000, cycle_budget: int = 2_000_000) -> DecompReport:
     """Exact maximum decomposition by branch and bound.
 
-    Branches over the cycles through the lexicographically least uncovered
-    edge, shortest cycles first (ties by vertex sequence), pruning a branch
-    when taken + floor(remaining/3) cannot beat the best decomposition found.
+    The search starts from the 3-cycle-first greedy decomposition of
+    `span_lower_bound`, whose size lb is a lower bound on the span.  Only
+    cycles of length at most max(3, edges - 3*lb) are listed (cycle_budget
+    caps how many): a decomposition into k >= lb + 1 cycles has k - 1 others
+    of length >= 3 beside any one cycle, so none of its cycles is longer
+    than edges - 3*(k - 1) <= edges - 3*lb, and no decomposition that beats
+    the greedy one needs a longer cycle.
+
+    Branches over the listed cycles through the lexicographically least
+    uncovered edge, shortest cycles first (ties by vertex sequence), pruning
+    a branch when taken + floor(remaining/3) cannot beat the best
+    decomposition found so far.  When no decomposition beats the greedy one,
+    the witness is the greedy decomposition itself.
     """
-    p, edges = _edge_list(d)
-    if not _is_eulerian(p, edges):
-        raise NotEulerian("span needs balanced in/out degrees")
-    ne = len(edges)
+    lower = span_lower_bound(d)
+    ne, best = lower.edge_count, lower.span
     if ne == 0:
-        return DecompReport(0, 0, 0, ())
-    cycles = _all_cycles(p, edges, cycle_budget)
+        return lower
+    p, edges = _edge_list(d)
+    cycles = _all_cycles(p, edges, cycle_budget, max(3, ne - 3 * best))
     through: list[list[tuple[int, int, int]]] = [[] for _ in range(ne)]
     for ci, (length, _, mask) in enumerate(cycles):
         m = mask
@@ -200,8 +212,7 @@ def span(d: GraphLike, node_budget: int = 50_000_000, cycle_budget: int = 2_000_
             through[b.bit_length() - 1].append((length, mask, ci))
             m ^= b
     full = (1 << ne) - 1
-    best = -1
-    best_stack: tuple[int, ...] = ()
+    best_stack: Optional[tuple[int, ...]] = None
     seen: dict[int, int] = {}
     nodes = 0
     stack: list[int] = []
@@ -233,25 +244,48 @@ def span(d: GraphLike, node_budget: int = 50_000_000, cycle_budget: int = 2_000_
                 stack.pop()
 
     rec(full, 0)
-    witness = tuple(normalize_cycle(cycles[ci][1]) for ci in best_stack)
+    if best_stack is None:
+        witness = lower.witness
+    else:
+        witness = tuple(normalize_cycle(cycles[ci][1]) for ci in best_stack)
     return DecompReport(ne, best, ne - 2 * best, witness)
 
 
 def span_lower_bound(d: GraphLike) -> DecompReport:
-    """Bound-only mode: span >= ceil(edges / longest-possible-cycle).
+    """Bound-only mode: the 3-cycle-first greedy decomposition that `span`
+    starts from.
 
-    The witness is the greedy decomposition, whose size is also a valid lower
-    bound and is reported when larger; balance here is an upper bound.
+    Walks the edges in sorted order and peels, through each edge still
+    present, the 3-cycle closed by its least possible third vertex (one pass
+    suffices: removing edges never creates a 3-cycle); what is left is
+    Eulerian and goes to `cycle_decomposition`.  The number of cycles is a
+    lower bound on the span, never below ceil(edges / vertices) since no
+    cycle is longer than the vertex count; balance here is an upper bound.
     """
     p, edges = _edge_list(d)
     if not _is_eulerian(p, edges):
         raise NotEulerian("span needs balanced in/out degrees")
-    ne = len(edges)
-    if ne == 0:
-        return DecompReport(0, 0, 0, ())
-    verts = len({v for e in edges for v in e})
-    greedy = cycle_decomposition(EdgeSet(p, edges))
-    lb = max(-(-ne // verts), len(greedy))
+    out_rows = [0] * p
+    in_rows = [0] * p
+    for (i, j) in edges:
+        out_rows[i] |= 1 << j
+        in_rows[j] |= 1 << i
+    greedy: list[tuple[int, ...]] = []
+    for (u, v) in edges:
+        if not (out_rows[u] >> v) & 1:
+            continue
+        closing = out_rows[v] & in_rows[u]
+        if not closing:
+            continue
+        w = (closing & -closing).bit_length() - 1
+        for (a, b) in ((u, v), (v, w), (w, u)):
+            out_rows[a] &= ~(1 << b)
+            in_rows[b] &= ~(1 << a)
+        greedy.append(normalize_cycle((u, v, w)))
+    rest = [(i, j) for i in range(p) for j in _bits(out_rows[i])]
+    if rest:
+        greedy += cycle_decomposition(EdgeSet(p, rest))
+    ne, lb = len(edges), len(greedy)
     return DecompReport(ne, lb, ne - 2 * lb, tuple(greedy))
 
 

@@ -15,6 +15,7 @@ from typing import Iterable, Sequence
 
 from .core import Digraph, EdgeSet, Permutation, Tournament, from_rows
 from .errors import (
+    InvariantViolation,
     NotACycle,
     NotSubgraph,
     ParseError,
@@ -147,7 +148,8 @@ def plan_any(pi: Tournament, gamma: Tournament) -> ReversalPlan:
     for cycle in cycle_decomposition(d):
         ms, g = _cycle_plan_moves(g, cycle)
         moves.extend(ms)
-    assert g == gamma
+    if g != gamma:
+        raise InvariantViolation("plan replay does not reach the target")
     return ReversalPlan(tuple(moves))
 
 
@@ -176,7 +178,8 @@ def plan_optimal(pi: Tournament, gamma: Tournament) -> ReversalPlan:
                 g, beta = g2, b2
                 found = True
                 break
-        assert found, "descent step must exist while the graphs differ"
+        if not found:
+            raise InvariantViolation("no descent step while the graphs differ")
     return ReversalPlan(tuple(moves))
 
 
@@ -240,7 +243,8 @@ def bipartite_plan(pi: Digraph, gamma: Digraph, J: Iterable[int], K: Iterable[in
     for cycle in cycle_decomposition(d):
         ms, g = _cycle_plan_moves_4(g, cycle)
         moves.extend(ms)
-    assert g == gamma
+    if g != gamma:
+        raise InvariantViolation("plan replay does not reach the target")
     return ReversalPlan(tuple(moves))
 
 

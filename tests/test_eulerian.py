@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from gamegraphs.core import EdgeSet, circulant, make_digraph, reverse, scores
-from gamegraphs.errors import BadLength, NotConnected, NotEulerian, NotStrong
+from gamegraphs.core import EdgeSet, circulant, from_rows, make_digraph, reverse, scores
+from gamegraphs.errors import BadLength, BudgetExceeded, NotConnected, NotEulerian, NotStrong
 from gamegraphs.eulerian import (
     count_eulerian_subgraphs,
     cycle_decomposition,
@@ -26,6 +26,13 @@ from conftest import (
     random_tournament,
     standard_order,
 )
+
+
+# Size-11 games (55 edges) of span 17, below floor(55 / 3) = 18.  The greedy
+# decomposition of the first is already maximum; on the second it finds 16
+# cycles and the search must beat it.
+SPAN17_GREEDY_MAX = (1222, 124, 248, 433, 481, 1857, 1928, 1826, 1543, 31, 542)
+SPAN17_GREEDY_16 = (186, 124, 121, 1488, 1504, 968, 1921, 1798, 1543, 31, 551)
 
 
 def check_decomposition(d: EdgeSet, cycles) -> None:
@@ -146,6 +153,51 @@ class TestSpan:
         lb = span_lower_bound(d)
         assert lb.span <= span(d).span
         assert lb.span >= -(-len(d) // 7)
+        assert lb.span == len(lb.witness) and lb.balance == len(d) - 2 * lb.span
+        check_decomposition(d, lb.witness)
+
+    def test_oracle_agreement_greedy_kept_and_beaten(self):
+        # the search starts from the greedy decomposition: when that is
+        # maximum it is the witness, otherwise the search must beat it
+        rng = random.Random(1)
+        kept = beaten = 0
+        while kept < 20 or beaten < 3:
+            d = random_eulerian_edgeset(9, rng, tries=5)
+            if not 6 <= len(d) <= 14:
+                continue
+            rep, greedy = span(d), span_lower_bound(d)
+            assert rep.span == oracle_span(d)
+            check_decomposition(d, rep.witness)
+            check_decomposition(d, greedy.witness)
+            if rep.span == greedy.span:
+                assert rep.witness == greedy.witness
+                kept += 1
+            else:
+                assert rep.span > greedy.span
+                beaten += 1
+
+    def test_search_beats_greedy_on_chorded_nine_ring(self, chorded_nine_ring):
+        # the greedy peels the one 3-cycle, which no maximum decomposition uses
+        greedy = span_lower_bound(chorded_nine_ring)
+        assert (0, 6, 3) in greedy.witness
+        assert greedy.span == 2 < span(chorded_nine_ring).span == 3
+
+    def test_size11_games_below_edges_over_three(self):
+        for rows, greedy_span in ((SPAN17_GREEDY_MAX, 17), (SPAN17_GREEDY_16, 16)):
+            d = EdgeSet.from_digraph(from_rows(11, rows))
+            rep = span(d)
+            assert rep.span == 17 < len(d) // 3
+            assert rep.balance == 21
+            check_decomposition(d, rep.witness)
+            assert span_lower_bound(d).span == greedy_span
+
+    def test_cycle_budget_counts_the_capped_list(self):
+        # greedy 16 caps cycle length at 55 - 48 = 7: 5732 cycles are listed,
+        # against 37220 without the cap
+        d = EdgeSet.from_digraph(from_rows(11, SPAN17_GREEDY_16))
+        with pytest.raises(BudgetExceeded):
+            span(d, cycle_budget=5000)
+        assert span(d, cycle_budget=6000).span == 17
 
 
 class TestStrongComponents:

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +33,25 @@ from gamegraphs.reversal import (
 )
 
 from conftest import random_tournament
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# A plan certificate that fails must raise even when asserts are stripped:
+# with every reversal a no-op, plan_any's replay cannot reach the target.
+_BROKEN_REPLAY = """
+from gamegraphs import reversal
+from gamegraphs.core import circulant, reverse
+from gamegraphs.errors import InvariantViolation
+
+if __debug__:
+    raise SystemExit("asserts are live")
+reversal._reverse_cycle = lambda g, cycle: g
+c5 = circulant(5, [1, 2])
+try:
+    reversal.plan_any(c5, reverse(c5))
+except InvariantViolation:
+    print("InvariantViolation")
+"""
 
 
 class TestDelta:
@@ -141,6 +164,15 @@ class TestPlanAny:
     def test_score_mismatch(self, straddle, c3):
         with pytest.raises(ScoreMismatch):
             plan_any(straddle, c3)
+
+    def test_failed_certificate_raises_under_python_O(self):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", _BROKEN_REPLAY],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "InvariantViolation\n"
 
 
 class TestPlanOptimal:
