@@ -14,9 +14,9 @@ from math import comb, factorial
 from typing import Iterator, Optional, Sequence
 
 from .core import Game
-from .errors import BudgetExceeded, SizeMismatch
+from .errors import BudgetExceeded, InvariantViolation, SizeMismatch
 from .eulerian import count_eulerian_subgraphs
-from .morph import automorphisms, canonical_form
+from .morph import automorphisms, canon_hex, canonical_form
 
 
 def _game_rows(p: int, fixed_row0: Optional[int] = None) -> Iterator[tuple[int, ...]]:
@@ -114,12 +114,13 @@ def census(p: int) -> Atlas:
         members = groups[bits]
         rep = members[0]
         aut = automorphisms(rep).order
-        assert len(members) * aut == factorial(p), "orbit-stabilizer mismatch"
-        cf = canonical_form(rep)
-        classes.append(ClassInfo(cf.hex, aut, len(members), rep))
-    assert sum(c.labeled_count for c in classes) == total
-    if total:
-        assert count_eulerian_subgraphs(classes[0].representative) == total
+        if len(members) * aut != factorial(p):
+            raise InvariantViolation(f"orbit-stabilizer: {len(members)} * {aut} != {p}!")
+        classes.append(ClassInfo(canon_hex(p, bits), aut, len(members), rep))
+    if sum(c.labeled_count for c in classes) != total:
+        raise InvariantViolation("class sizes do not sum to the labeled total")
+    if total and count_eulerian_subgraphs(classes[0].representative) != total:
+        raise InvariantViolation("labeled total differs from the Eulerian-subgraph count")
     return Atlas(p, total, tuple(classes))
 
 

@@ -76,19 +76,28 @@ def cycle_decomposition(d: GraphLike, must_be_eulerian: bool = True) -> list[tup
 
 
 def _simple_path(p: int, edges: set[tuple[int, int]], src: int, dst: int) -> Optional[list[int]]:
-    """Vertex-simple path src..dst inside the edge set, least successor first."""
+    """Vertex-simple path src..dst inside the edge set, least successor first.
+
+    A vertex whose subtree failed stays dead for the rest of the search:
+    dst was unreachable from it avoiding the path above it, and any later
+    path keeps a prefix of that path whose dropped vertices reached it and
+    failed as well.  Skipping dead vertices leaves the returned path
+    unchanged, and no vertex is entered twice.
+    """
     succ: dict[int, list[int]] = defaultdict(list)
     for (i, j) in sorted(edges):
         succ[i].append(j)
+    dead: set[int] = set()
 
     def dfs(v: int, visited: set[int], path: list[int]) -> Optional[list[int]]:
         if v == dst:
             return path
         for w in succ[v]:
-            if w == dst or w not in visited:
+            if w == dst or (w not in visited and w not in dead):
                 got = dfs(w, visited | {w}, path + [w])
                 if got is not None:
                     return got
+        dead.add(v)
         return None
 
     return dfs(src, {src}, [src])

@@ -2,10 +2,16 @@
 
 Canonical labeling is an individualization-refinement search: iterate the
 colors (signature = own color + sorted colors of out- and in-neighbors) to a
-fixed point, branch on every vertex of the first non-singleton class, and
+fixed point, branch on the vertices of the first non-singleton class, and
 take the minimum relabeled adjacency bit-string over the discrete leaves.
 Plain scores never separate the vertices of a game, so the neighbor-multiset
 refinement does the real work.
+
+Two leaves with equal values differ by an automorphism.  The search records
+one for each such leaf and skips every branch that a recorded automorphism
+maps onto an earlier branch (orbit pruning, as in nauty).  One search gives
+the canonical form, its witness (the first minimum leaf) and generators of
+the automorphism group, which `automorphisms` closes into the full group.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .core import (
     Digraph,
@@ -26,7 +32,7 @@ from .core import (
     restrict,
     scores,
 )
-from .errors import BadSize, NotSurjective, TooLarge, WrongGroup
+from .errors import BadSize, InvariantViolation, NotSurjective, TooLarge, WrongGroup
 
 
 @dataclass(frozen=True)
@@ -39,8 +45,12 @@ class CanonicalForm:
 
     @property
     def hex(self) -> str:
-        width = (self.p * self.p + 3) // 4
-        return format(self.bits, f"0{width}x")
+        return canon_hex(self.p, self.bits)
+
+
+def canon_hex(p: int, bits: int) -> str:
+    """Canonical bits as fixed-width hex (p*p bits, zero-padded)."""
+    return format(bits, f"0{(p * p + 3) // 4}x")
 
 
 @dataclass(frozen=True)
@@ -90,16 +100,65 @@ def _bits_under(p: int, rows: Sequence[int], perm: Sequence[int]) -> int:
     return val
 
 
-def _canon_search(g: Digraph, node_budget: int) -> tuple[int, list[Permutation]]:
-    """Full refinement tree: minimum leaf value and every permutation achieving it."""
+class _Search(NamedTuple):
+    """Outcome of one canonical search."""
+
+    value: int  # minimum relabeled adjacency bit-string over the leaves
+    leaf: Permutation  # the first leaf (in search order) that reaches it
+    generators: tuple[tuple[int, ...], ...]  # automorphisms generating Aut
+    nodes: int  # refinement-tree nodes visited, root included
+
+
+def _is_automorphism(rows: Sequence[int], gamma: Sequence[int]) -> bool:
+    for i, r in enumerate(rows):
+        img = 0
+        for j in _bits(r):
+            img |= 1 << gamma[j]
+        if rows[gamma[i]] != img:
+            return False
+    return True
+
+
+def _orbit_roots(p: int, gens: Sequence[Sequence[int]]) -> list[int]:
+    """Orbit representative of every vertex under the group the gens generate."""
+    root = list(range(p))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for a in gens:
+        for x in range(p):
+            rx, ry = find(x), find(a[x])
+            if rx != ry:
+                root[max(rx, ry)] = min(rx, ry)
+    return [find(x) for x in range(p)]
+
+
+def _canon_search(g: Digraph, node_budget: int) -> _Search:
+    """Depth-first individualization-refinement with automorphism pruning.
+
+    A leaf whose value ties the best so far yields the automorphism
+    gamma = best^-1 o leaf.  At a node with individualized prefix s, a child
+    w is skipped when an earlier-explored sibling u lies in w's orbit under
+    the recorded automorphisms that fix s pointwise: such a gamma maps the
+    subtree of u onto the subtree of w, leaf values included.  So the
+    minimum and the first leaf reaching it are those of the full tree, and
+    every minimum leaf is a visited one moved by the recorded generators,
+    which therefore generate the whole automorphism group.
+    """
     p = g.p
     rows, cols = g.rows, g._cols
     best_val: Optional[int] = None
-    best_perms: list[Permutation] = []
+    best_inv: list[int] = []
+    best_leaf: list[int] = []
+    gens: list[tuple[int, ...]] = []
     nodes = 0
 
-    def rec(colors: list[int]) -> None:
-        nonlocal best_val, nodes
+    def rec(colors: list[int], prefix: tuple[int, ...]) -> None:
+        nonlocal best_val, best_inv, best_leaf, nodes
         nodes += 1
         if nodes > node_budget:
             raise TooLarge(f"canonical search exceeded {node_budget} nodes")
@@ -114,30 +173,41 @@ def _canon_search(g: Digraph, node_budget: int) -> tuple[int, list[Permutation]]
         if target is None:
             val = _bits_under(p, rows, colors)
             if best_val is None or val < best_val:
-                best_val = val
-                best_perms.clear()
-            if val == best_val:
-                best_perms.append(Permutation(colors))
+                best_val, best_leaf = val, colors
+                best_inv = [0] * p
+                for v, label in enumerate(colors):
+                    best_inv[label] = v
+            elif val == best_val:
+                gamma = tuple(best_inv[label] for label in colors)
+                if not _is_automorphism(rows, gamma):
+                    raise InvariantViolation("equal canonical leaves gave a non-automorphism")
+                gens.append(gamma)
             return
         nc = p  # fresh color larger than all existing ones
+        explored: list[int] = []
+        roots: list[int] = []
+        known = -1  # number of generators the orbit roots were computed from
         for v in target:
+            if explored:
+                if known != len(gens):
+                    known = len(gens)
+                    fixing = [a for a in gens if all(a[x] == x for x in prefix)]
+                    roots = _orbit_roots(p, fixing)
+                if any(roots[u] == roots[v] for u in explored):
+                    continue
+            explored.append(v)
             c2 = list(colors)
             c2[v] = nc
-            rec(_refine(p, rows, cols, c2))
+            rec(_refine(p, rows, cols, c2), prefix + (v,))
 
-    rec(_refine(p, rows, cols, [0] * p))
-    assert best_val is not None
-    return best_val, best_perms
+    rec(_refine(p, rows, cols, [0] * p), ())
+    return _Search(best_val, Permutation(best_leaf), tuple(gens), nodes)
 
 
 def canonical_form(g: Digraph, node_budget: int = 2_000_000) -> CanonicalForm:
     """Canonical form; two digraphs are isomorphic iff their forms have equal bits."""
-    val, perms = _canon_search(g, node_budget)
-    return CanonicalForm(g.p, val, perms[0])
-
-
-def canonical_graph(g: Digraph) -> Digraph:
-    return relabel(g, canonical_form(g).witness)
+    s = _canon_search(g, node_budget)
+    return CanonicalForm(g.p, s.value, s.leaf)
 
 
 def are_isomorphic(a: Digraph, b: Digraph, node_budget: int = 2_000_000) -> Optional[Permutation]:
@@ -149,17 +219,32 @@ def are_isomorphic(a: Digraph, b: Digraph, node_budget: int = 2_000_000) -> Opti
     if ca.bits != cb.bits:
         return None
     rho = cb.witness.inverse().compose(ca.witness)
-    assert relabel(a, rho) == b
+    if relabel(a, rho) != b:
+        raise InvariantViolation("isomorphism witness does not map a onto b")
     return rho
 
 
 def automorphisms(g: Digraph, node_budget: int = 2_000_000) -> AutGroup:
-    """The full automorphism group, recovered from the equal-minimum leaves
-    of the canonical search tree (one search, two answers)."""
-    _, perms = _canon_search(g, node_budget)
-    lead = perms[0].inverse()
-    auts = sorted((lead.compose(lam) for lam in perms), key=lambda q: q.image)
-    return AutGroup(tuple(auts))
+    """The full automorphism group, sorted by image.
+
+    The canonical search returns generators (one per pair of equal leaves
+    it met); the group is their closure, built breadth first by composing
+    each element found with each generator.
+    """
+    gens = _canon_search(g, node_budget).generators
+    ident = tuple(range(g.p))
+    group = {ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for gen in gens:
+                b = tuple(gen[x] for x in a)
+                if b not in group:
+                    group.add(b)
+                    nxt.append(b)
+        frontier = nxt
+    return AutGroup(tuple(Permutation(a) for a in sorted(group)))
 
 
 def rigid_by_scores(g: Tournament) -> bool:
@@ -171,8 +256,8 @@ def rigid_by_scores(g: Tournament) -> bool:
 def is_rigid(g: Tournament) -> bool:
     """Exact rigidity; the score-multiplicity shortcut, when it fires, must agree."""
     exact = automorphisms(g).order == 1
-    if rigid_by_scores(g):
-        assert exact, "score-multiplicity rigidity test disagrees with the search"
+    if rigid_by_scores(g) and not exact:
+        raise InvariantViolation("score-multiplicity rigidity test disagrees with the search")
     return exact
 
 
@@ -220,7 +305,8 @@ def classify7(g: Game) -> str:
         kind = "II"
     else:
         kind = "III"
-    assert canonical_form(g).bits == _seven_fixtures()[kind]
+    if canonical_form(g).bits != _seven_fixtures()[kind]:
+        raise InvariantViolation(f"neighborhood criterion says type {kind}, canonical form disagrees")
     return kind
 
 

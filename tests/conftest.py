@@ -2,10 +2,14 @@
 
 The oracles here deliberately avoid the library's own algorithms: spans by
 exhaustive decomposition enumeration, isomorphism by raw permutation search,
-Eulerian-subgraph counts by direct subset enumeration.
+Eulerian-subgraph counts by direct subset enumeration.  Two keep the plain
+forms of searches the library now prunes: the full canonical refinement
+tree (over the library's own refinement step), and the simple-path DFS
+without its dead-end memory.
 """
 
 import random
+from collections import defaultdict
 from itertools import combinations, permutations
 
 import pytest
@@ -18,6 +22,7 @@ from gamegraphs.core import (
     from_rows,
     make_digraph,
 )
+from gamegraphs.morph import _bits_under, _refine
 
 
 @pytest.fixture(scope="session")
@@ -176,3 +181,55 @@ def all_labeled_tournaments(p: int):
             else:
                 rows[j] |= 1 << i
         yield from_rows(p, rows)
+
+
+def oracle_canon_tree(g: Digraph):
+    """The whole individualization-refinement tree, no pruning.
+
+    Returns the minimum leaf value, the first leaf reaching it, and the
+    sorted automorphism group read off all the leaves that reach it.
+    """
+    p = g.p
+    rows, cols = g.rows, g._cols
+    leaves = []
+
+    def rec(colors):
+        classes = {}
+        for v, c in enumerate(colors):
+            classes.setdefault(c, []).append(v)
+        cells = [classes[c] for c in sorted(classes) if len(classes[c]) > 1]
+        if not cells:
+            leaves.append((_bits_under(p, rows, colors), tuple(colors)))
+            return
+        for v in cells[0]:
+            c2 = list(colors)
+            c2[v] = p
+            rec(_refine(p, rows, cols, c2))
+
+    rec(_refine(p, rows, cols, [0] * p))
+    best = min(val for val, _ in leaves)
+    mins = [leaf for val, leaf in leaves if val == best]
+    inv = [0] * p
+    for v, label in enumerate(mins[0]):
+        inv[label] = v
+    group = sorted(tuple(inv[label] for label in leaf) for leaf in mins)
+    return best, mins[0], group
+
+
+def oracle_simple_path(edges, src: int, dst: int):
+    """Least-successor-first simple path src..dst with no memory of dead ends."""
+    succ = defaultdict(list)
+    for (i, j) in sorted(edges):
+        succ[i].append(j)
+
+    def dfs(v, visited, path):
+        if v == dst:
+            return path
+        for w in succ[v]:
+            if w == dst or w not in visited:
+                got = dfs(w, visited | {w}, path + [w])
+                if got is not None:
+                    return got
+        return None
+
+    return dfs(src, {src}, [src])

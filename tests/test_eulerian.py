@@ -5,6 +5,7 @@ import pytest
 from gamegraphs.core import EdgeSet, circulant, from_rows, make_digraph, reverse, scores
 from gamegraphs.errors import BadLength, BudgetExceeded, NotConnected, NotEulerian, NotStrong
 from gamegraphs.eulerian import (
+    _simple_path,
     count_eulerian_subgraphs,
     cycle_decomposition,
     cycle_edges,
@@ -21,6 +22,7 @@ from gamegraphs.eulerian import (
 
 from conftest import (
     oracle_eulerian_count,
+    oracle_simple_path,
     oracle_span,
     random_eulerian_edgeset,
     random_tournament,
@@ -65,6 +67,19 @@ class TestCycleDecomposition:
             d = random_eulerian_edgeset(8, rng)
             if d.edges:
                 check_decomposition(d, cycle_decomposition(d))
+
+
+class TestSimplePath:
+    def test_same_path_as_dfs_without_dead_ends(self):
+        rng = random.Random(13)
+        for _ in range(40):
+            p = rng.randint(4, 9)
+            t = random_tournament(p, rng)
+            edges = {e for e in t.edges() if rng.random() < 0.7}
+            for src in range(p):
+                for dst in range(p):
+                    if src != dst:
+                        assert _simple_path(p, edges, src, dst) == oracle_simple_path(edges, src, dst)
 
 
 class TestEulerTrail:

@@ -1,12 +1,18 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from gamegraphs.atlas import enumerate_games
 from gamegraphs.core import (
     Game,
     Permutation,
     circulant,
     classify_digraph,
+    from_rows,
     make_digraph,
     relabel,
     restrict,
@@ -15,8 +21,9 @@ from gamegraphs.core import (
 )
 from gamegraphs.construct import double, lex_product, reduce_via
 from gamegraphs.errors import BadSize, NotSurjective, WrongGroup
-from gamegraphs.groups import GameSubset, cyclic_group
+from gamegraphs.groups import GameSubset, cyclic_group, group_game, quadratic_residue_subset
 from gamegraphs.morph import (
+    _canon_search,
     are_isomorphic,
     automorphisms,
     aut_product_law_check,
@@ -28,7 +35,54 @@ from gamegraphs.morph import (
     rigid_by_scores,
 )
 
-from conftest import all_labeled_tournaments, oracle_iso, random_tournament, standard_order
+from conftest import (
+    all_labeled_tournaments,
+    oracle_canon_tree,
+    oracle_iso,
+    random_tournament,
+    standard_order,
+)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Every certificate in morph and in the census must raise even when asserts
+# are stripped.  Each case breaks what one check relies on and prints its
+# name when that check raises InvariantViolation.
+_BROKEN_CERTIFICATES = """
+from unittest import mock
+
+from gamegraphs import atlas, morph
+from gamegraphs.construct import double
+from gamegraphs.core import Permutation, circulant, make_digraph
+from gamegraphs.errors import InvariantViolation
+
+if __debug__:
+    raise SystemExit("asserts are live")
+t4 = make_digraph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (2, 0), (3, 1)])
+g9, _ = double(t4)
+c7 = circulant(7, (1, 2, 3))
+identity = Permutation.identity(7)
+shift = Permutation([(i + 1) % 7 for i in range(7)])
+cases = [
+    # every leaf ties, so the search pairs leaves of a rigid game
+    ("generator", mock.patch.object(morph, "_bits_under", lambda p, rows, perm: 0),
+     lambda: morph.automorphisms(g9)),
+    ("witness", mock.patch.object(morph, "relabel", lambda g, rho: None),
+     lambda: morph.are_isomorphic(c7, c7)),
+    ("rigid", mock.patch.object(morph, "automorphisms", lambda g: morph.AutGroup((identity, shift))),
+     lambda: morph.is_rigid(t4)),
+    ("classify7", mock.patch.object(morph, "_seven_fixtures", lambda: {"I": 0, "II": 0, "III": 0}),
+     lambda: morph.classify7(c7)),
+    ("census", mock.patch.object(atlas, "automorphisms", lambda g: morph.AutGroup((identity,))),
+     lambda: atlas.census(5)),
+]
+for name, patch, run in cases:
+    with patch:
+        try:
+            run()
+        except InvariantViolation:
+            print(name)
+"""
 
 
 class TestCanonicalForm:
@@ -134,6 +188,47 @@ class TestAutomorphisms:
         for g in (c3, g5, g7i, g7ii, g7iii):
             n = (g.p - 1) // 2
             assert automorphisms(g).order <= 3 ** n
+
+
+def _qr_game(p: int) -> Game:
+    sub = quadratic_residue_subset(p)
+    return group_game(sub.group, sub)
+
+
+class TestPrunedSearch:
+    """The orbit-pruned search against the full tree it replaced."""
+
+    def test_agrees_with_full_tree(self, c3, g7i, g7ii, g7iii):
+        rng = random.Random(71)
+        sample = rng.sample(list(enumerate_games(7)), 40)
+        t4 = make_digraph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (2, 0), (3, 1)])
+        g5 = circulant(5, (1, 2))
+        rows = list(g5.rows) + [0b001111]
+        rows[4] |= 1 << 5
+        rigid = [double(t4)[0], double(from_rows(6, rows))[0]]
+        orders = []
+        for g in sample + [g7i, g7ii, g7iii, _qr_game(23), lex_product(c3, c3)] + rigid:
+            value, leaf, group = oracle_canon_tree(g)
+            cf = canonical_form(g)
+            assert (cf.bits, cf.witness.image) == (value, leaf)
+            assert [a.image for a in automorphisms(g)] == group
+            orders.append(len(group))
+        assert orders[-7:] == [7, 21, 3, 253, 81, 1, 1]
+
+    def test_pinned_node_counts(self):
+        # refinements, root included; the full tree has 947 for QR43 and
+        # 31,200 over the size-7 games
+        assert _canon_search(_qr_game(43), 10_000).nodes == 27
+        assert sum(_canon_search(g, 10_000).nodes for g in enumerate_games(7)) == 15_696
+
+    def test_certificates_raise_under_python_O(self):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", _BROKEN_CERTIFICATES],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["generator", "witness", "rigid", "classify7", "census"]
 
 
 class TestRigidity:

@@ -6,8 +6,10 @@ from pathlib import Path
 
 import pytest
 
+from gamegraphs.construct import double
 from gamegraphs.core import (
     EdgeSet,
+    Game,
     Permutation,
     circulant,
     classify_digraph,
@@ -52,6 +54,35 @@ try:
 except InvariantViolation:
     print("InvariantViolation")
 """
+
+
+def doubled_walk(seed: int, steps: int) -> tuple[Game, Game]:
+    """The double of a random 31-tournament and the game `steps` 3-cycle
+    flips away, no two flips sharing a pair of vertices."""
+    rng = random.Random(seed)
+    start, _ = double(random_tournament(31, rng))
+    p = start.p
+    rows = list(start.rows)
+    used = [0] * p  # used[a] has bit b once the pair {a, b} was flipped
+    done = 0
+    while done < steps:
+        a = rng.randrange(p)
+        outs = [j for j in range(p) if (rows[a] >> j) & 1 and not (used[a] >> j) & 1]
+        if not outs:
+            continue
+        b = rng.choice(outs)
+        closing = [c for c in range(p) if (rows[b] >> c) & 1 and (rows[c] >> a) & 1
+                   and not ((used[b] >> c) | (used[c] >> a)) & 1]
+        if not closing:
+            continue
+        c = rng.choice(closing)
+        for (x, y) in ((a, b), (b, c), (c, a)):
+            rows[x] &= ~(1 << y)
+            rows[y] |= 1 << x
+            used[x] |= 1 << y
+            used[y] |= 1 << x
+        done += 1
+    return start, Game(p, rows)
 
 
 class TestDelta:
@@ -164,6 +195,14 @@ class TestPlanAny:
     def test_score_mismatch(self, straddle, c3):
         with pytest.raises(ScoreMismatch):
             plan_any(straddle, c3)
+
+    def test_doubled_walk_at_p63(self):
+        # without memory of dead ends, the greedy cycle search on this
+        # difference graph ran for more than 15 s
+        a, b = doubled_walk(18, 100)
+        plan = plan_any(a, b)
+        assert len(plan) == 264
+        assert apply_plan(a, plan) == b
 
     def test_failed_certificate_raises_under_python_O(self):
         env = dict(os.environ, PYTHONPATH=str(SRC))
