@@ -3,7 +3,11 @@
 The interchange graph has the labeled games of one size as nodes, adjacent
 when a single 3-cycle reversal apart.  BFS distance there must agree with
 the balance invariant of the difference graph, which is checked against the
-span solver in the acceptance suite.
+span solver in the acceptance suite.  Point-to-point distance and geodesic
+counting search from both ends and stop where the two searches meet
+(Pohl, *Bi-directional search*, 1971); whole-graph sweeps such as the
+diameter search from one source.  Every search steps with one neighbor
+routine over row-mask tuples.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from typing import Iterator, Optional, Sequence
 
 from .core import Game
 from .errors import BudgetExceeded, InvariantViolation, SizeMismatch
-from .eulerian import count_eulerian_subgraphs
+from .eulerian import _three_cycles, count_eulerian_subgraphs
 from .morph import automorphisms, canon_hex, canonical_form
 
 
@@ -127,39 +131,19 @@ def census(p: int) -> Atlas:
 # -- interchange graph ----------------------------------------------------------
 
 
-def _flip3(rows: tuple[int, ...], tri: tuple[int, int, int]) -> tuple[int, ...]:
-    a, b, c = tri
-    out = list(rows)
-    out[a] = (out[a] & ~(1 << b)) | (1 << c)
-    out[b] = (out[b] & ~(1 << c)) | (1 << a)
-    out[c] = (out[c] & ~(1 << a)) | (1 << b)
-    return tuple(out)
-
-
-def _tris(rows: tuple[int, ...], p: int) -> list[tuple[int, int, int]]:
-    cols = [0] * p
-    for i in range(p):
-        m = rows[i]
-        while m:
-            b = m & -m
-            cols[b.bit_length() - 1] |= 1 << i
-            m ^= b
+def _neighbors(rows: tuple[int, ...], p: int) -> list[tuple[int, ...]]:
+    """Row tuples of the games one 3-cycle reversal from the game `rows`,
+    in 3-cycle order.  A game is a tournament, so a vertex's in-neighbors
+    are the complement of its out-neighbors."""
+    full = (1 << p) - 1
+    cols = [full ^ r ^ (1 << i) for i, r in enumerate(rows)]
     out = []
-    for a in range(p):
-        m = rows[a]
-        while m:
-            bb = m & -m
-            b = bb.bit_length() - 1
-            m ^= bb
-            if b < a:
-                continue
-            mm = rows[b] & cols[a]
-            while mm:
-                cc = mm & -mm
-                c = cc.bit_length() - 1
-                mm ^= cc
-                if c > a:
-                    out.append((a, b, c))
+    for a, b, c in _three_cycles(rows, cols):
+        flipped = list(rows)
+        flipped[a] ^= (1 << b) | (1 << c)
+        flipped[b] ^= (1 << c) | (1 << a)
+        flipped[c] ^= (1 << a) | (1 << b)
+        out.append(tuple(flipped))
     return out
 
 
@@ -170,10 +154,10 @@ class InterchangeGraph:
         self.p = p
 
     def neighbors(self, g: Game) -> list[Game]:
-        return [Game(self.p, _flip3(g.rows, t)) for t in _tris(g.rows, self.p)]
+        return [Game(self.p, rows) for rows in _neighbors(g.rows, self.p)]
 
     def degree(self, g: Game) -> int:
-        return len(_tris(g.rows, self.p))
+        return len(_neighbors(g.rows, self.p))
 
     def nodes(self) -> Iterator[Game]:
         return enumerate_games(self.p)
@@ -186,9 +170,7 @@ class FullInterchange:
         self.p = p
         self.nodes = [g.rows for g in enumerate_games(p)]
         self.index = {rows: k for k, rows in enumerate(self.nodes)}
-        self.adj: list[list[int]] = []
-        for rows in self.nodes:
-            self.adj.append([self.index[_flip3(rows, t)] for t in _tris(rows, p)])
+        self.adj = [[self.index[r] for r in _neighbors(rows, p)] for rows in self.nodes]
 
     def bfs(self, src: int) -> list[int]:
         dist = [-1] * len(self.nodes)
@@ -206,61 +188,76 @@ class FullInterchange:
         return dist
 
 
-def _bfs(p: int, src: tuple[int, ...], dst: Optional[tuple[int, ...]] = None) -> dict[tuple[int, ...], int]:
+def _bfs(p: int, src: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """Single-source sweep: the distance from src to every game of its size."""
     dist = {src: 0}
     frontier = [src]
     while frontier:
         nxt = []
         for rows in frontier:
-            d = dist[rows]
-            for tri in _tris(rows, p):
-                r2 = _flip3(rows, tri)
+            d = dist[rows] + 1
+            for r2 in _neighbors(rows, p):
                 if r2 not in dist:
-                    dist[r2] = d + 1
-                    if dst is not None and r2 == dst:
-                        return dist
+                    dist[r2] = d
                     nxt.append(r2)
         frontier = nxt
     return dist
 
 
+def _meet(p: int, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, int, int]:
+    """Bidirectional BFS from a and b: (distance, number of geodesics, games
+    stored by both ends).
+
+    Each step grows the end with the smaller frontier by one full level,
+    until the new level holds games the other end has seen.  Up to then no
+    game was seen by both ends, so the distance is more than the sum of the
+    two depths before the step, and the met games reach the least sum.  Every
+    geodesic crosses the new level at one met game x, and count[x] *
+    ocount[x] geodesics cross there: the shortest paths from each end to x.
+    """
+    if a == b:
+        return 0, 1, 1
+    ends = [({a: 0}, {a: 1}, [a]), ({b: 0}, {b: 1}, [b])]
+    while True:
+        k = 0 if len(ends[0][2]) <= len(ends[1][2]) else 1
+        dist, count, frontier = ends[k]
+        odist, ocount, _ = ends[1 - k]
+        if not frontier:
+            raise InvariantViolation("games in different components of the interchange graph")
+        level = dist[frontier[0]] + 1
+        nxt = []
+        for rows in frontier:
+            c = count[rows]
+            for r2 in _neighbors(rows, p):
+                d = dist.get(r2)
+                if d is None:
+                    dist[r2] = level
+                    count[r2] = c
+                    nxt.append(r2)
+                elif d == level:
+                    count[r2] += c
+        ends[k] = (dist, count, nxt)
+        met = [r for r in nxt if r in odist]
+        if met:
+            best = min(level + odist[r] for r in met)
+            paths = sum(count[r] * ocount[r] for r in met if level + odist[r] == best)
+            return best, paths, len(dist) + len(odist)
+
+
 def interchange_distance(a: Game, b: Game) -> int:
-    """BFS distance in the interchange graph; equals beta(Delta(a, b))."""
+    """Interchange-graph distance, by BFS from both ends; equals beta(Delta(a, b))."""
     if a.p != b.p:
         raise SizeMismatch("games on different vertex counts")
-    if a == b:
-        return 0
-    return _bfs(a.p, a.rows, b.rows)[b.rows]
+    return _meet(a.p, a.rows, b.rows)[0]
 
 
 def geodesic_count(a: Game, b: Game) -> tuple[int, int]:
-    """(distance, number of geodesics); the count is at least distance!."""
+    """(distance, number of geodesics), by BFS from both ends; the count is
+    at least distance!."""
     if a.p != b.p:
         raise SizeMismatch("games on different vertex counts")
-    if a == b:
-        return 0, 1
-    dist = {a.rows: 0}
-    count = {a.rows: 1}
-    frontier = [a.rows]
-    level = 0
-    while frontier:
-        if b.rows in dist:
-            # finish counting into the target level, then stop
-            if level >= dist[b.rows]:
-                break
-        nxt = []
-        for rows in frontier:
-            for tri in _tris(rows, a.p):
-                r2 = _flip3(rows, tri)
-                if r2 not in dist:
-                    dist[r2] = level + 1
-                    count[r2] = count[rows]
-                    nxt.append(r2)
-                elif dist[r2] == level + 1:
-                    count[r2] += count[rows]
-        frontier = nxt
-        level += 1
-    return dist[b.rows], count[b.rows]
+    d, paths, _ = _meet(a.p, a.rows, b.rows)
+    return d, paths
 
 
 @dataclass(frozen=True)
@@ -287,7 +284,8 @@ def diameter(p: int, allow_large: bool = False) -> DiameterReport:
         if far_d > best:
             best = far_d
             wit = (cls.representative, Game(p, far_rows))
-    assert wit is not None
+    if wit is None:
+        raise InvariantViolation("diameter found no class to sweep from")
     return DiameterReport(p, best, n * n, wit)
 
 
@@ -377,11 +375,13 @@ def count_report(n: int) -> CountReport:
 
     p = 2 * n + 1
     base = circulant(p, range(1, n + 1))
-    assert isinstance(base, Game)
+    if not isinstance(base, Game):
+        raise InvariantViolation(f"circulant 1..{n} is not a game")
     exact_total = count_eulerian_subgraphs(base)
     exact_pointed = count_pointed_games(p)
     bi = comb(2 * n, n)
-    assert exact_total == bi * exact_pointed
+    if exact_total != bi * exact_pointed:
+        raise InvariantViolation(f"labeled total {exact_total} != C({2 * n},{n}) * {exact_pointed} pointed")
     literature_pointed, literature_total = (84, 1680) if n == 3 else (None, None)
     return CountReport(
         n=n,

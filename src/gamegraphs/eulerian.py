@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .core import Digraph, EdgeSet, Game, Tournament, _bits, scores
 from .errors import (
@@ -460,18 +460,30 @@ def three_cycle_stats(g: Tournament) -> ThreeCycleStats:
     return ThreeCycleStats(tuple(per), total, num // 12)
 
 
+def _three_cycles(rows: Sequence[int], cols: Sequence[int]) -> list[tuple[int, int, int]]:
+    """3-cycles a -> b -> c -> a with a least, from out-neighbor masks (rows)
+    and in-neighbor masks (cols).  The loops run a, b, c upwards, so the list
+    comes out in lexicographic order without a sort."""
+    out = []
+    for a, ra in enumerate(rows):
+        above = ~((2 << a) - 1)
+        m = ra & above
+        ins = cols[a] & above
+        while m:
+            bb = m & -m
+            m ^= bb
+            b = bb.bit_length() - 1
+            mm = rows[b] & ins
+            while mm:
+                cc = mm & -mm
+                mm ^= cc
+                out.append((a, b, cc.bit_length() - 1))
+    return out
+
+
 def three_cycles(g: Digraph) -> list[tuple[int, int, int]]:
     """All 3-cycles (a,b,c), a minimal, in lexicographic order."""
-    out = []
-    for a in range(g.p):
-        for b in _bits(g.rows[a]):
-            if b < a:
-                continue
-            for c in _bits(g.rows[b] & g._cols[a]):
-                if c > a:
-                    out.append((a, b, c))
-    out.sort()
-    return out
+    return _three_cycles(g.rows, g._cols)
 
 
 def steiner_decomposition(g: Game) -> Optional[list[tuple[int, int, int]]]:

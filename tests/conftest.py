@@ -4,8 +4,9 @@ The oracles here deliberately avoid the library's own algorithms: spans by
 exhaustive decomposition enumeration, isomorphism by raw permutation search,
 Eulerian-subgraph counts by direct subset enumeration.  Two keep the plain
 forms of searches the library now prunes: the full canonical refinement
-tree (over the library's own refinement step), and the simple-path DFS
-without its dead-end memory.
+tree (over the library's own refinement step), the simple-path DFS
+without its dead-end memory, and the one-sided interchange BFS with its
+own 3-cycle listing.
 """
 
 import random
@@ -101,6 +102,33 @@ def random_eulerian_edgeset(p: int, rng: random.Random, tries: int = 30) -> Edge
             continue
         edges.update(cyc)
     return EdgeSet(p, edges)
+
+
+def disjoint_walk(start: Game, steps: int, rng: random.Random) -> Game:
+    """The game `steps` 3-cycle flips from start, no two flips sharing a
+    pair of vertices, so its interchange distance from start is `steps`."""
+    p = start.p
+    rows = list(start.rows)
+    used = [0] * p  # used[a] has bit b once the pair {a, b} was flipped
+    done = 0
+    while done < steps:
+        a = rng.randrange(p)
+        outs = [j for j in range(p) if (rows[a] >> j) & 1 and not (used[a] >> j) & 1]
+        if not outs:
+            continue
+        b = rng.choice(outs)
+        closing = [c for c in range(p) if (rows[b] >> c) & 1 and (rows[c] >> a) & 1
+                   and not ((used[b] >> c) | (used[c] >> a)) & 1]
+        if not closing:
+            continue
+        c = rng.choice(closing)
+        for (x, y) in ((a, b), (b, c), (c, a)):
+            rows[x] &= ~(1 << y)
+            rows[y] |= 1 << x
+            used[x] |= 1 << y
+            used[y] |= 1 << x
+        done += 1
+    return Game(p, rows)
 
 
 # -- oracles ---------------------------------------------------------------------
@@ -233,3 +261,68 @@ def oracle_simple_path(edges, src: int, dst: int):
         return None
 
     return dfs(src, {src}, [src])
+
+
+def _oracle_flip3(rows: tuple, tri: tuple) -> tuple:
+    a, b, c = tri
+    out = list(rows)
+    out[a] = (out[a] & ~(1 << b)) | (1 << c)
+    out[b] = (out[b] & ~(1 << c)) | (1 << a)
+    out[c] = (out[c] & ~(1 << a)) | (1 << b)
+    return tuple(out)
+
+
+def _oracle_tris(rows: tuple, p: int) -> list:
+    cols = [0] * p
+    for i in range(p):
+        m = rows[i]
+        while m:
+            b = m & -m
+            cols[b.bit_length() - 1] |= 1 << i
+            m ^= b
+    out = []
+    for a in range(p):
+        m = rows[a]
+        while m:
+            bb = m & -m
+            b = bb.bit_length() - 1
+            m ^= bb
+            if b < a:
+                continue
+            mm = rows[b] & cols[a]
+            while mm:
+                cc = mm & -mm
+                c = cc.bit_length() - 1
+                mm ^= cc
+                if c > a:
+                    out.append((a, b, c))
+    return out
+
+
+def oracle_interchange_bfs(p: int, src: tuple, dst=None):
+    """One-sided BFS over game row tuples with geodesic counting.
+
+    Returns (dist, count): interchange distance from src and the number of
+    shortest paths from src, per game reached.  With dst, stops once the
+    level holding dst is complete; without, sweeps the whole graph.
+    """
+    dist = {src: 0}
+    count = {src: 1}
+    frontier = [src]
+    level = 0
+    while frontier:
+        if dst in dist and level >= dist[dst]:
+            break
+        nxt = []
+        for rows in frontier:
+            for tri in _oracle_tris(rows, p):
+                r2 = _oracle_flip3(rows, tri)
+                if r2 not in dist:
+                    dist[r2] = level + 1
+                    count[r2] = count[rows]
+                    nxt.append(r2)
+                elif dist[r2] == level + 1:
+                    count[r2] += count[rows]
+        frontier = nxt
+        level += 1
+    return dist, count

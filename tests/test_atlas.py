@@ -1,10 +1,15 @@
+import os
 import random
+import subprocess
+import sys
 from math import factorial
+from pathlib import Path
 
 import pytest
 
 from gamegraphs.atlas import (
     InterchangeGraph,
+    _meet,
     census,
     convexity_check,
     count_pointed_games,
@@ -15,12 +20,29 @@ from gamegraphs.atlas import (
     interchange_distance,
     parity_bipartition,
 )
-from gamegraphs.core import Game, Permutation, relabel, reverse
+from gamegraphs.core import Game, Permutation, circulant, relabel, reverse
 from gamegraphs.errors import BudgetExceeded
 from gamegraphs.eulerian import span, three_cycle_stats
 from gamegraphs.reversal import delta_id
 
-from conftest import all_labeled_tournaments
+from conftest import all_labeled_tournaments, disjoint_walk, oracle_interchange_bfs
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# The product law of the counting report must raise even when asserts are
+# stripped: here the pointed count is off by one.
+_BROKEN_PRODUCT_LAW = """
+from gamegraphs import atlas
+from gamegraphs.errors import InvariantViolation
+
+if __debug__:
+    raise SystemExit("asserts are live")
+atlas.count_pointed_games = lambda p: 5
+try:
+    atlas.count_report(2)
+except InvariantViolation:
+    print("InvariantViolation")
+"""
 
 
 class TestEnumerate:
@@ -101,6 +123,49 @@ class TestDistance:
             a, b = rng.choice(games), rng.choice(games)
             d, cnt = geodesic_count(a, b)
             assert cnt >= factorial(d)
+
+
+class TestBidirectional:
+    """Distance and geodesic count from both ends against the one-sided BFS."""
+
+    def test_all_size5_pairs(self):
+        games = list(enumerate_games(5))
+        for a in games:
+            dist, count = oracle_interchange_bfs(5, a.rows)
+            for b in games:
+                assert geodesic_count(a, b) == (dist[b.rows], count[b.rows])
+                assert interchange_distance(a, b) == dist[b.rows]
+
+    def test_seeded_size7_pairs(self):
+        # 15 sources with 20 targets each: one oracle sweep serves 20 pairs
+        rng = random.Random(97)
+        games = list(enumerate_games(7))
+        pairs = 0
+        for a in rng.sample(games, 15):
+            dist, count = oracle_interchange_bfs(7, a.rows)
+            for b in rng.sample(games, 20):
+                assert geodesic_count(a, b) == (dist[b.rows], count[b.rows])
+                assert interchange_distance(a, b) == dist[b.rows]
+                pairs += 1
+        assert pairs == 300
+
+    def test_size9_disjoint_walks(self):
+        rng = random.Random(101)
+        c9 = circulant(9, (1, 2, 3, 4))
+        for steps in (1, 2, 3, 4, 5):
+            b = disjoint_walk(c9, steps, rng)
+            dist, count = oracle_interchange_bfs(9, c9.rows, b.rows)
+            d, paths, stored = _meet(9, c9.rows, b.rows)
+            assert d == dist[b.rows] == steps
+            assert paths == count[b.rows]
+            assert geodesic_count(c9, b) == (d, paths)
+            # past one flip, both ends together store less than one side
+            assert steps == 1 or stored < len(dist)
+
+    def test_pinned_stored_games(self, g7i):
+        # both ends' dictionaries together; the one-sided search reaches
+        # all 2,640 size-7 games before it gets to reverse(g7i)
+        assert _meet(7, g7i.rows, reverse(g7i).rows) == (9, 4_585_728, 3_148)
 
 
 class TestDegreeRegularity:
@@ -194,6 +259,15 @@ class TestCountReport:
         assert rep.binom == 6
         assert rep.formula_total_lower == 24
         assert rep.literature_total is None
+
+    def test_product_law_raises_under_python_O(self):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", _BROKEN_PRODUCT_LAW],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "InvariantViolation\n"
 
     def test_n3_flags_literature_disagreement(self):
         rep = count_report(3)

@@ -305,6 +305,27 @@ class TestThreeCycleStats:
                 assert st.total == st.formula_total
                 assert st.total == len(three_cycles(g))
 
+    def test_three_cycles_sorted_and_complete(self):
+        rng = random.Random(31)
+        # choices 2: tournaments; 3: a third of the pairs left unjoined
+        for p, choices in [(p, c) for p in (3, 5, 7, 9) for c in (2, 3)]:
+            for _ in range(5):
+                rows = [0] * p
+                for i in range(p):
+                    for j in range(i + 1, p):
+                        side = rng.randrange(choices)
+                        if side == 0:
+                            rows[i] |= 1 << j
+                        elif side == 1:
+                            rows[j] |= 1 << i
+                g = from_rows(p, rows)
+                want = [
+                    (a, b, c)
+                    for a in range(p) for b in range(a + 1, p) for c in range(a + 1, p)
+                    if g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(c, a)
+                ]
+                assert three_cycles(g) == want
+
 
 class TestSteiner:
     def test_g7ii_decomposes(self, g7ii):

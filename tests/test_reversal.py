@@ -34,7 +34,7 @@ from gamegraphs.reversal import (
     special_cycles,
 )
 
-from conftest import random_tournament
+from conftest import disjoint_walk, random_tournament
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -61,28 +61,7 @@ def doubled_walk(seed: int, steps: int) -> tuple[Game, Game]:
     flips away, no two flips sharing a pair of vertices."""
     rng = random.Random(seed)
     start, _ = double(random_tournament(31, rng))
-    p = start.p
-    rows = list(start.rows)
-    used = [0] * p  # used[a] has bit b once the pair {a, b} was flipped
-    done = 0
-    while done < steps:
-        a = rng.randrange(p)
-        outs = [j for j in range(p) if (rows[a] >> j) & 1 and not (used[a] >> j) & 1]
-        if not outs:
-            continue
-        b = rng.choice(outs)
-        closing = [c for c in range(p) if (rows[b] >> c) & 1 and (rows[c] >> a) & 1
-                   and not ((used[b] >> c) | (used[c] >> a)) & 1]
-        if not closing:
-            continue
-        c = rng.choice(closing)
-        for (x, y) in ((a, b), (b, c), (c, a)):
-            rows[x] &= ~(1 << y)
-            rows[y] |= 1 << x
-            used[x] |= 1 << y
-            used[y] |= 1 << x
-        done += 1
-    return start, Game(p, rows)
+    return start, disjoint_walk(start, steps, rng)
 
 
 class TestDelta:
