@@ -43,21 +43,22 @@ class Digraph:
         if len(rows) != p:
             raise VertexOutOfRange("row count != p")
         full = (1 << p) - 1
+        cols = [0] * p
         for i, r in enumerate(rows):
             if r & ~full:
                 raise VertexOutOfRange(f"row {i} references vertices >= {p}")
             if (r >> i) & 1:
                 raise LoopEdge(f"loop at vertex {i}")
+            bit = 1 << i
+            for j in _bits(r):
+                cols[j] |= bit
         for i in range(p):
-            for j in _bits(rows[i]):
-                if (rows[j] >> i) & 1:
-                    raise AntiparallelPair(f"both {i}->{j} and {j}->{i}")
+            both = rows[i] & cols[i]
+            if both:
+                j = (both & -both).bit_length() - 1
+                raise AntiparallelPair(f"both {i}->{j} and {j}->{i}")
         self.p = p
         self.rows = rows
-        cols = [0] * p
-        for i in range(p):
-            for j in _bits(rows[i]):
-                cols[j] |= 1 << i
         self._cols = tuple(cols)
         self._check()
 
@@ -136,13 +137,18 @@ class Game(Tournament):
 
 
 def from_rows(p: int, rows: Sequence[int]) -> Digraph:
-    """Strongest truthful class for the given adjacency rows."""
+    """Strongest truthful class for the given adjacency rows.
+
+    The rows are validated once, as a Digraph, which then takes the class
+    `classify_digraph` finds and runs that class's own check.
+    """
     g = Digraph(p, rows)
     flags = classify_digraph(g)
     if flags.is_game:
-        return Game(p, rows)
-    if flags.is_tournament:
-        return Tournament(p, rows)
+        g.__class__ = Game
+    elif flags.is_tournament:
+        g.__class__ = Tournament
+    g._check()
     return g
 
 

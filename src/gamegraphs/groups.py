@@ -146,7 +146,8 @@ def is_fermat_square_free(m: int) -> bool:
         (q - 1) & (q - 2) == 0 for q in factors
     )
     phi = euler_phi(m)
-    assert direct == (phi & (phi - 1) == 0), "Fermat criterion out of step with phi"
+    if direct != (phi & (phi - 1) == 0):
+        raise InvariantViolation("Fermat criterion out of step with phi")
     return direct
 
 
@@ -246,7 +247,8 @@ def group_game(G: FiniteGroup, A: GameSubset) -> Game:
             if i != j and G.mult(G.inverse(i), j) in A:
                 rows[i] |= 1 << j
     g = from_rows(G.m, rows)
-    assert isinstance(g, Game)
+    if not isinstance(g, Game):
+        raise InvariantViolation("the group game of a full game subset is not a game")
     return g
 
 
@@ -377,8 +379,8 @@ def h_invariant_subsets(G: FiniteGroup, H: Iterable[Permutation]) -> list[GameSu
         m2 = sum(1 << x for x in o2)
         masks = [m | c for m in masks for c in (m1, m2)]
     subs = [GameSubset(G, m) for m in sorted(masks)]
-    for s in subs:
-        assert all(s.apply(xi) == s for xi in hperms)
+    if any(s.apply(xi) != s for s in subs for xi in hperms):
+        raise InvariantViolation("a union of H-orbits is not H-invariant")
     return subs
 
 
@@ -511,7 +513,8 @@ def quotient_game(
             if a != b and G.mult(G.inverse(ca[0]), cb[0]) in elems:
                 rows[a] |= 1 << b
     g = from_rows(len(cosets), rows)
-    assert isinstance(g, Game)
+    if not isinstance(g, Game):
+        raise InvariantViolation("the quotient of a pair game subset is not a game")
     return g, cosets, proj
 
 
@@ -583,10 +586,12 @@ def orbit_subgame(g: Game, T: FiniteGroup, action: Sequence[Permutation], a: int
     quotient, cosets, _ = quotient_game(T, H, A)
     orbit = tuple(sorted({action[t](a) for t in range(T.m)}))
     sub, index = restrict(g, orbit)
-    assert isinstance(sub, Game), "orbit restriction must be a subgame"
+    if not isinstance(sub, Game):
+        raise InvariantViolation("orbit restriction must be a subgame")
     image = [index[action[c[0]](a)] for c in cosets]
     rho = Permutation(image)
-    assert relabel(quotient, rho) == sub
+    if relabel(quotient, rho) != sub:
+        raise InvariantViolation("coset map does not carry the quotient onto the orbit restriction")
     return OrbitSubgameReport(orbit, sub, quotient, rho, A)
 
 

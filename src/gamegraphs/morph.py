@@ -7,6 +7,13 @@ take the minimum relabeled adjacency bit-string over the discrete leaves.
 Plain scores never separate the vertices of a game, so the neighbor-multiset
 refinement does the real work.
 
+Each search lists every vertex's out- and in-neighbors once.  A tournament's
+signature leaves the in-colors out: the in-neighbors of v are all vertices
+but v and its out-neighbors, so two vertices with equal color and equal
+out-colors have equal in-colors, and sorting (color, out) ranks the
+vertices exactly as sorting (color, out, in) does.  A leaf's value is built
+from the edges alone, bit color[u]*p + color[w] for each edge u -> w.
+
 Two leaves with equal values differ by an automorphism.  The search records
 one for each such leaf and skips every branch that a recorded automorphism
 maps onto an earlier branch (orbit pruning, as in nauty).  One search gives
@@ -73,13 +80,22 @@ class AutGroup:
         )
 
 
-def _refine(p: int, rows: Sequence[int], cols: Sequence[int], colors: list[int]) -> list[int]:
+def _refine(outs: Sequence[Sequence[int]], ins: Optional[Sequence[Sequence[int]]],
+            colors: list[int]) -> list[int]:
+    """Recolor by rank of signature until the colors stop changing.
+
+    A signature is a vertex's color and the sorted colors of its
+    out-neighbors, then of its in-neighbors unless `ins` is None (for a
+    tournament, see the module docstring).
+    """
     while True:
-        sigs = []
-        for v in range(p):
-            so = sorted(colors[w] for w in _bits(rows[v]))
-            si = sorted(colors[w] for w in _bits(cols[v]))
-            sigs.append((colors[v], tuple(so), tuple(si)))
+        if ins is None:
+            sigs = [(c, tuple(sorted([colors[w] for w in o]))) for c, o in zip(colors, outs)]
+        else:
+            sigs = [
+                (c, tuple(sorted([colors[w] for w in o])), tuple(sorted([colors[w] for w in i])))
+                for c, o, i in zip(colors, outs, ins)
+            ]
         table = {s: k for k, s in enumerate(sorted(set(sigs)))}
         new = [table[s] for s in sigs]
         if new == colors:
@@ -87,16 +103,11 @@ def _refine(p: int, rows: Sequence[int], cols: Sequence[int], colors: list[int])
         colors = new
 
 
-def _bits_under(p: int, rows: Sequence[int], perm: Sequence[int]) -> int:
-    inv = [0] * p
-    for v, label in enumerate(perm):
-        inv[label] = v
+def _bits_under(p: int, outs: Sequence[Sequence[int]], perm: Sequence[int]) -> int:
+    """Adjacency bit-string relabeled by perm: bit perm[u]*p + perm[w] per edge u->w."""
     val = 0
-    for a in range(p):
-        ra = rows[inv[a]]
-        for b in range(p):
-            if a != b and (ra >> inv[b]) & 1:
-                val |= 1 << (a * p + b)
+    for u, o in enumerate(outs):
+        val |= sum([1 << perm[w] for w in o]) << (perm[u] * p)
     return val
 
 
@@ -150,7 +161,9 @@ def _canon_search(g: Digraph, node_budget: int) -> _Search:
     which therefore generate the whole automorphism group.
     """
     p = g.p
-    rows, cols = g.rows, g._cols
+    rows = g.rows
+    outs = [tuple(_bits(r)) for r in rows]
+    ins = None if isinstance(g, Tournament) else [tuple(_bits(c)) for c in g._cols]
     best_val: Optional[int] = None
     best_inv: list[int] = []
     best_leaf: list[int] = []
@@ -171,7 +184,7 @@ def _canon_search(g: Digraph, node_budget: int) -> _Search:
                 target = classes[c]
                 break
         if target is None:
-            val = _bits_under(p, rows, colors)
+            val = _bits_under(p, outs, colors)
             if best_val is None or val < best_val:
                 best_val, best_leaf = val, colors
                 best_inv = [0] * p
@@ -198,9 +211,9 @@ def _canon_search(g: Digraph, node_budget: int) -> _Search:
             explored.append(v)
             c2 = list(colors)
             c2[v] = nc
-            rec(_refine(p, rows, cols, c2), prefix + (v,))
+            rec(_refine(outs, ins, c2), prefix + (v,))
 
-    rec(_refine(p, rows, cols, [0] * p), ())
+    rec(_refine(outs, ins, [0] * p), ())
     return _Search(best_val, Permutation(best_leaf), tuple(gens), nodes)
 
 

@@ -2,9 +2,11 @@
 
 The oracles here deliberately avoid the library's own algorithms: spans by
 exhaustive decomposition enumeration, isomorphism by raw permutation search,
-Eulerian-subgraph counts by direct subset enumeration.  Two keep the plain
-forms of searches the library now prunes: the full canonical refinement
-tree (over the library's own refinement step), the simple-path DFS
+Eulerian-subgraph counts by direct subset enumeration.  Others keep the
+plain forms of searches the library now prunes or speeds up: the canonical
+refinement tree, whole or orbit-pruned, over the plain refinement step
+(every signature rebuilt from the bitmasks each round, in-colors always
+included) and the plain leaf value (all p^2 pairs), the simple-path DFS
 without its dead-end memory, and the one-sided interchange BFS with its
 own 3-cycle listing.
 """
@@ -15,6 +17,7 @@ from itertools import combinations, permutations
 
 import pytest
 
+from gamegraphs.atlas import census
 from gamegraphs.core import (
     Digraph,
     EdgeSet,
@@ -23,7 +26,6 @@ from gamegraphs.core import (
     from_rows,
     make_digraph,
 )
-from gamegraphs.morph import _bits_under, _refine
 
 
 @pytest.fixture(scope="session")
@@ -54,6 +56,12 @@ def g7iii(g7ii) -> Game:
         rows[u] &= ~(1 << v)
         rows[v] |= 1 << u
     return Game(7, rows)
+
+
+@pytest.fixture(scope="session")
+def census7():
+    """The size-7 census (2,640 canonical forms), built once per session."""
+    return census(7)
 
 
 @pytest.fixture(scope="session")
@@ -211,6 +219,45 @@ def all_labeled_tournaments(p: int):
         yield from_rows(p, rows)
 
 
+def _set_bits(mask: int) -> list:
+    out = []
+    while mask:
+        b = mask & -mask
+        out.append(b.bit_length() - 1)
+        mask ^= b
+    return out
+
+
+def oracle_refine(p: int, rows, cols, colors: list) -> list:
+    """Plain color refinement: signature (color, sorted out-colors, sorted
+    in-colors) rebuilt from the bitmasks every round, ranked, to a fixed point."""
+    while True:
+        sigs = []
+        for v in range(p):
+            so = sorted(colors[w] for w in _set_bits(rows[v]))
+            si = sorted(colors[w] for w in _set_bits(cols[v]))
+            sigs.append((colors[v], tuple(so), tuple(si)))
+        table = {s: k for k, s in enumerate(sorted(set(sigs)))}
+        new = [table[s] for s in sigs]
+        if new == colors:
+            return new
+        colors = new
+
+
+def oracle_bits_under(p: int, rows, perm) -> int:
+    """Adjacency bit-string relabeled by perm, read over all p^2 pairs."""
+    inv = [0] * p
+    for v, label in enumerate(perm):
+        inv[label] = v
+    val = 0
+    for a in range(p):
+        ra = rows[inv[a]]
+        for b in range(p):
+            if a != b and (ra >> inv[b]) & 1:
+                val |= 1 << (a * p + b)
+    return val
+
+
 def oracle_canon_tree(g: Digraph):
     """The whole individualization-refinement tree, no pruning.
 
@@ -227,14 +274,14 @@ def oracle_canon_tree(g: Digraph):
             classes.setdefault(c, []).append(v)
         cells = [classes[c] for c in sorted(classes) if len(classes[c]) > 1]
         if not cells:
-            leaves.append((_bits_under(p, rows, colors), tuple(colors)))
+            leaves.append((oracle_bits_under(p, rows, colors), tuple(colors)))
             return
         for v in cells[0]:
             c2 = list(colors)
             c2[v] = p
-            rec(_refine(p, rows, cols, c2))
+            rec(oracle_refine(p, rows, cols, c2))
 
-    rec(_refine(p, rows, cols, [0] * p))
+    rec(oracle_refine(p, rows, cols, [0] * p))
     best = min(val for val, _ in leaves)
     mins = [leaf for val, leaf in leaves if val == best]
     inv = [0] * p
@@ -242,6 +289,63 @@ def oracle_canon_tree(g: Digraph):
         inv[label] = v
     group = sorted(tuple(inv[label] for label in leaf) for leaf in mins)
     return best, mins[0], group
+
+
+def oracle_canon_search(g: Digraph):
+    """The orbit-pruned refinement tree over the plain refinement step.
+
+    Depth first, like the full tree; a leaf that ties the best value so far
+    records gamma = best^-1 o leaf, and a child w is skipped when an earlier
+    explored sibling lies in w's orbit, found by closing w under the
+    recorded gammas that fix the individualized prefix.  Returns the
+    minimum value, the first leaf reaching it, the gammas in the order
+    found and the number of nodes visited.
+    """
+    p = g.p
+    rows, cols = g.rows, g._cols
+    best = [None, None, None]  # value, leaf, inverse of the leaf
+    gens = []
+    nodes = 0
+
+    def orbit(v, prefix):
+        fixing = [a for a in gens if all(a[x] == x for x in prefix)]
+        seen, todo = {v}, [v]
+        while todo:
+            x = todo.pop()
+            for a in fixing:
+                if a[x] not in seen:
+                    seen.add(a[x])
+                    todo.append(a[x])
+        return seen
+
+    def rec(colors, prefix):
+        nonlocal nodes
+        nodes += 1
+        classes = {}
+        for v, c in enumerate(colors):
+            classes.setdefault(c, []).append(v)
+        cells = [classes[c] for c in sorted(classes) if len(classes[c]) > 1]
+        if not cells:
+            val = oracle_bits_under(p, rows, colors)
+            if best[0] is None or val < best[0]:
+                inv = [0] * p
+                for v, label in enumerate(colors):
+                    inv[label] = v
+                best[:] = [val, tuple(colors), inv]
+            elif val == best[0]:
+                gens.append(tuple(best[2][label] for label in colors))
+            return
+        explored = []
+        for v in cells[0]:
+            if explored and orbit(v, prefix) & set(explored):
+                continue
+            explored.append(v)
+            c2 = list(colors)
+            c2[v] = p
+            rec(oracle_refine(p, rows, cols, c2), prefix + (v,))
+
+    rec(oracle_refine(p, rows, cols, [0] * p), ())
+    return best[0], best[1], tuple(gens), nodes
 
 
 def oracle_simple_path(edges, src: int, dst: int):

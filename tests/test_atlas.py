@@ -79,8 +79,8 @@ class TestCensus:
         assert atl.classes[0].aut_order == 5
         assert atl.classes[0].labeled_count == factorial(5) // 5
 
-    def test_size7(self):
-        atl = census(7)
+    def test_size7(self, census7):
+        atl = census7
         assert len(atl.classes) == 3
         assert atl.labeled_total == 2640
         assert sorted(c.aut_order for c in atl.classes) == [3, 7, 21]

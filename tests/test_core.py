@@ -5,12 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gamegraphs.core import (
+    Digraph,
     EdgeSet,
     Game,
     Permutation,
     Tournament,
     circulant,
     classify_digraph,
+    from_rows,
     make_digraph,
     parse,
     relabel,
@@ -43,6 +45,17 @@ class TestMakeDigraph:
     def test_loop_rejected(self):
         with pytest.raises(LoopEdge):
             make_digraph(3, [(1, 1)])
+
+    def test_rows_validated_in_row_order(self):
+        # antiparallel pairs {0, 2} and {1, 3}: the first in row order is named
+        rows = [0b0100, 0b1000, 0b0001, 0b0011]
+        with pytest.raises(AntiparallelPair, match=r"^both 0->2 and 2->0$"):
+            from_rows(4, rows)
+        # a loop or an out-of-range row is reported before any antiparallel pair
+        with pytest.raises(LoopEdge, match=r"^loop at vertex 3$"):
+            Digraph(4, rows[:3] + [0b1011])
+        with pytest.raises(VertexOutOfRange, match=r"^row 3 references vertices >= 4$"):
+            Digraph(4, rows[:3] + [0b10001])
 
     def test_out_of_range(self):
         with pytest.raises(VertexOutOfRange):

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from gamegraphs.core import Game, Permutation, circulant, relabel, restrict, reverse
@@ -40,6 +45,53 @@ from gamegraphs.groups import (
     units,
 )
 from gamegraphs.morph import are_isomorphic, automorphisms
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# The certificates in groups must raise even when asserts are stripped.  Each
+# case breaks what one check relies on and prints its name when that check
+# raises InvariantViolation.
+_BROKEN_CERTIFICATES = """
+from unittest import mock
+
+from gamegraphs import groups
+from gamegraphs.core import Digraph, Permutation, circulant, reverse
+from gamegraphs.errors import InvariantViolation
+
+if __debug__:
+    raise SystemExit("asserts are live")
+z7 = groups.cyclic_group(7)
+g7 = circulant(7, (1, 2, 3))
+qr7 = groups.GameSubset(z7, [1, 2, 4])
+quotient_game = groups.quotient_game
+
+
+def reversed_quotient(T, H, A):
+    q, cosets, rest = quotient_game(T, H, A)
+    return reverse(q), cosets, rest
+
+
+cases = [
+    ("group_game", mock.patch.object(groups, "from_rows", Digraph),
+     lambda: groups.group_game(z7, qr7)),
+    ("quotient", mock.patch.object(groups, "from_rows", Digraph),
+     lambda: groups.quotient_game(z7, [0], qr7)),
+    ("fermat", mock.patch.object(groups, "euler_phi", lambda m: 6),
+     lambda: groups.is_fermat_square_free(15)),
+    ("h_invariant", mock.patch.object(groups.GameSubset, "apply", lambda self, xi: None),
+     lambda: groups.h_invariant_subsets(z7, [Permutation.identity(7)])),
+    ("subgame", mock.patch.object(groups, "restrict", lambda g, J: (circulant(7, (1,)), None)),
+     lambda: groups.orbit_subgame(g7, z7, groups.translation_perms(z7), 0)),
+    ("chart", mock.patch.object(groups, "quotient_game", reversed_quotient),
+     lambda: groups.orbit_subgame(g7, z7, groups.translation_perms(z7), 0)),
+]
+for name, patch, run in cases:
+    with patch:
+        try:
+            run()
+        except InvariantViolation:
+            print(name)
+"""
 
 
 class TestConstructors:
@@ -417,3 +469,16 @@ class TestActionFacts:
                     if sub.out_degree(idx[e]) == n - 1:
                         image = frozenset((e * x) % p for x in initial)
                         assert image == frozenset(A.elements())
+
+
+class TestCertificates:
+    def test_certificates_raise_under_python_O(self):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", _BROKEN_CERTIFICATES],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == [
+            "group_game", "quotient", "fermat", "h_invariant", "subgame", "chart",
+        ]

@@ -8,8 +8,11 @@ import pytest
 
 from gamegraphs.atlas import enumerate_games
 from gamegraphs.core import (
+    Digraph,
     Game,
     Permutation,
+    Tournament,
+    _bits,
     circulant,
     classify_digraph,
     from_rows,
@@ -23,7 +26,9 @@ from gamegraphs.construct import double, lex_product, reduce_via
 from gamegraphs.errors import BadSize, NotSurjective, WrongGroup
 from gamegraphs.groups import GameSubset, cyclic_group, group_game, quadratic_residue_subset
 from gamegraphs.morph import (
+    _bits_under,
     _canon_search,
+    _refine,
     are_isomorphic,
     automorphisms,
     aut_product_law_check,
@@ -37,8 +42,12 @@ from gamegraphs.morph import (
 
 from conftest import (
     all_labeled_tournaments,
+    oracle_bits_under,
+    oracle_canon_search,
     oracle_canon_tree,
     oracle_iso,
+    oracle_refine,
+    random_eulerian_edgeset,
     random_tournament,
     standard_order,
 )
@@ -229,6 +238,82 @@ class TestPrunedSearch:
         )
         assert out.returncode == 0, out.stderr
         assert out.stdout.split() == ["generator", "witness", "rigid", "classify7", "census"]
+
+
+def _random_digraph(p: int, rng: random.Random) -> Digraph:
+    """Each pair absent, or oriented either way, with probability 1/3."""
+    rows = [0] * p
+    for i in range(p):
+        for j in range(i + 1, p):
+            x = rng.randrange(3)
+            if x == 1:
+                rows[i] |= 1 << j
+            elif x == 2:
+                rows[j] |= 1 << i
+    return from_rows(p, rows)
+
+
+def _symmetric_digraphs() -> list:
+    """Non-tournaments with nontrivial automorphisms, so the search prunes."""
+    two_triangles = make_digraph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+    return [
+        circulant(8, (1, 3)),
+        circulant(9, (1, 2)),
+        circulant(10, (1,)),
+        circulant(12, (1, 4)),
+        two_triangles,
+        make_digraph(5, []),
+    ]
+
+
+class TestSearchAgainstOracle:
+    """The search against one over the plain refinement and leaf value:
+    per-search neighbor lists, the out-only tournament signature and the
+    edge-built leaf value must change no node, value, leaf or generator."""
+
+    @staticmethod
+    def _agree(g) -> None:
+        s = _canon_search(g, 100_000)
+        assert (s.value, s.leaf.image, s.generators, s.nodes) == oracle_canon_search(g)
+
+    def test_refine_and_leaf_value(self, g7i, g7iii):
+        rng = random.Random(83)
+        graphs = [g7i, g7iii, _qr_game(23)] + [random_tournament(9, rng) for _ in range(10)]
+        graphs += [_random_digraph(rng.randint(3, 12), rng) for _ in range(30)]
+        graphs += _symmetric_digraphs()
+        for g in graphs:
+            p, rows, cols = g.p, g.rows, g._cols
+            outs = [tuple(_bits(r)) for r in rows]
+            ins = [tuple(_bits(c)) for c in cols]
+            starts = [[0] * p] + [[p if w == v else 0 for w in range(p)] for v in range(p)]
+            for c in starts:
+                want = oracle_refine(p, rows, cols, list(c))
+                assert _refine(outs, ins, list(c)) == want
+                if isinstance(g, Tournament):
+                    assert _refine(outs, None, list(c)) == want
+            for _ in range(5):
+                perm = rng.sample(range(p), p)
+                assert _bits_under(p, outs, perm) == oracle_bits_under(p, rows, perm)
+
+    def test_size7_games(self):
+        for g in enumerate_games(7):
+            self._agree(g)
+
+    def test_qr_games(self):
+        for q in (23, 31, 43):
+            self._agree(_qr_game(q))
+
+    def test_digraphs(self):
+        rng = random.Random(89)
+        graphs = [_random_digraph(rng.randint(3, 14), rng) for _ in range(30)]
+        # unions of random cycles: balanced degrees, so the search branches
+        for _ in range(40):
+            d = random_eulerian_edgeset(rng.randint(5, 12), rng, tries=rng.randint(2, 8))
+            graphs.append(d.to_digraph())
+        graphs = [g for g in graphs if not isinstance(g, Tournament)] + _symmetric_digraphs()
+        assert len(graphs) >= 70  # the in-neighbor signature is what these check
+        for g in graphs:
+            self._agree(g)
 
 
 class TestRigidity:
