@@ -147,22 +147,6 @@ def _neighbors(rows: tuple[int, ...], p: int) -> list[tuple[int, ...]]:
     return out
 
 
-class InterchangeGraph:
-    """Implicit graph on the labeled games of one size; neighbors on demand."""
-
-    def __init__(self, p: int):
-        self.p = p
-
-    def neighbors(self, g: Game) -> list[Game]:
-        return [Game(self.p, rows) for rows in _neighbors(g.rows, self.p)]
-
-    def degree(self, g: Game) -> int:
-        return len(_neighbors(g.rows, self.p))
-
-    def nodes(self) -> Iterator[Game]:
-        return enumerate_games(self.p)
-
-
 class FullInterchange:
     """Materialized interchange graph for one size: index maps and adjacency."""
 

@@ -186,13 +186,15 @@ class DigraphFlags:
 
 
 def classify_digraph(g: Digraph) -> DigraphFlags:
-    """Tournament / Eulerian / regular flags; is_game = is_tournament and is_eulerian."""
+    """Tournament / Eulerian / regular flags; is_game = is_tournament and
+    is_eulerian on an odd vertex count.  Only the 0-vertex tournament is
+    Eulerian with an even count, and it is no game."""
     full = (1 << g.p) - 1
     tourn = all(g.rows[i] | g._cols[i] == full & ~(1 << i) for i in range(g.p))
     eul = all(g.out_degree(i) == g.in_degree(i) for i in range(g.p))
     degs = {g.out_degree(i) for i in range(g.p)}
     reg = eul and len(degs) <= 1
-    return DigraphFlags(tourn, eul, tourn and eul, reg)
+    return DigraphFlags(tourn, eul, tourn and eul and g.p % 2 == 1, reg)
 
 
 def reverse(g: Digraph) -> Digraph:
@@ -221,14 +223,6 @@ def restrict(g: Digraph, J: Iterable[int]) -> tuple[Digraph, dict[int, int]]:
 def scores(g: Digraph) -> tuple[int, ...]:
     """Out-degrees in non-decreasing order (sum = p(p-1)/2 for tournaments)."""
     return tuple(sorted(g.out_degree(i) for i in range(g.p)))
-
-
-def out_degrees(g: Digraph) -> tuple[int, ...]:
-    return tuple(g.out_degree(i) for i in range(g.p))
-
-
-def in_degrees(g: Digraph) -> tuple[int, ...]:
-    return tuple(g.in_degree(i) for i in range(g.p))
 
 
 class Permutation:

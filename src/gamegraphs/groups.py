@@ -14,7 +14,7 @@ from itertools import product
 from math import gcd
 from typing import Iterable, Iterator, Sequence
 
-from .core import Digraph, Game, Permutation, from_rows, relabel, restrict
+from .core import Game, Permutation, from_rows, relabel, restrict
 from .errors import (
     BadAction,
     BadPrime,
@@ -250,16 +250,6 @@ def group_game(G: FiniteGroup, A: GameSubset) -> Game:
     if not isinstance(g, Game):
         raise InvariantViolation("the group game of a full game subset is not a game")
     return g
-
-
-def group_digraph(G: FiniteGroup, A: GameSubset) -> Digraph:
-    """Gamma[A] for a graph subset that need not be full."""
-    rows = [0] * G.m
-    for i in range(G.m):
-        for j in range(G.m):
-            if i != j and G.mult(G.inverse(i), j) in A:
-                rows[i] |= 1 << j
-    return from_rows(G.m, rows)
 
 
 def translation_perms(G: FiniteGroup) -> list[Permutation]:

@@ -3,9 +3,12 @@
 Delta(rho, Pi, Gamma) collects the edges of Pi that rho reverses relative to
 Gamma; reversing Delta in Pi recovers Gamma.  Between same-score tournaments
 the minimum number of single-3-cycle reversal steps is the balance invariant
-beta(Delta), and plans here come in two flavors: greedy (cycle by cycle, at
-sum(len-2) steps) and provably optimal (descent, re-solving the span after
-every move so each step carries a machine-checked certificate).
+beta(Delta) = |Delta| - 2 span(Delta).  Every plan reverses edge-disjoint
+cycles of Delta one at a time, a length-l cycle in l - 2 moves, so the plans
+differ only in the decomposition: greedy for `plan_any`, and for
+`plan_optimal` the witness of one span solve, a maximum decomposition and so
+exactly beta moves.  Each plan is certified by replay and the optimal one
+also by its length.
 """
 
 from __future__ import annotations
@@ -21,8 +24,9 @@ from .errors import (
     ParseError,
     ScoreMismatch,
     SizeMismatch,
+    VertexOutOfRange,
 )
-from .eulerian import cycle_decomposition, span, three_cycles
+from .eulerian import cycle_decomposition, span
 
 
 def delta(rho: Permutation, pi: Tournament, gamma: Tournament) -> EdgeSet:
@@ -85,51 +89,74 @@ def parse_plan(text: str) -> ReversalPlan:
         if not ln or ln.startswith("#"):
             continue
         parts = ln.split()
-        if parts[0] == "r3" and len(parts) == 4:
-            moves.append(tuple(int(x) for x in parts[1:]))
-        elif parts[0] == "r4" and len(parts) == 5:
-            moves.append(tuple(int(x) for x in parts[1:]))
-        else:
+        if (parts[0], len(parts)) not in (("r3", 4), ("r4", 5)):
             raise ParseError(f"bad plan line: {ln!r}")
+        try:
+            moves.append(tuple(int(x) for x in parts[1:]))
+        except ValueError:
+            raise ParseError(f"bad vertex in plan line: {ln!r}") from None
     return ReversalPlan(tuple(moves))
 
 
-def _reverse_cycle(g: Digraph, cycle: Sequence[int]) -> Digraph:
+def _reverse_cycle(rows: list[int], cycle: Sequence[int]) -> None:
+    """Reverse one oriented cycle of the row list in place."""
     k = len(cycle)
-    rows = list(g.rows)
     for t in range(k):
         a, b = cycle[t], cycle[(t + 1) % k]
         if not (rows[a] >> b) & 1:
             raise NotACycle(f"edge {a}->{b} absent at this step")
         rows[a] &= ~(1 << b)
         rows[b] |= 1 << a
-    return from_rows(g.p, rows)
 
 
 def apply_plan(pi: Digraph, plan: ReversalPlan) -> Digraph:
     """Replay a plan, checking each listed cycle exists with its stated orientation."""
-    g = pi
+    rows = list(pi.rows)
     for mv in plan.moves:
+        if not all(0 <= v < pi.p for v in mv):
+            raise VertexOutOfRange(f"move {mv} names a vertex outside 0..{pi.p - 1}")
         if len(set(mv)) != len(mv):
             raise NotACycle(f"repeated vertex in move {mv}")
-        g = _reverse_cycle(g, mv)
-    return g
+        _reverse_cycle(rows, mv)
+    return from_rows(pi.p, rows)
 
 
-def _cycle_plan_moves(g: Digraph, cycle: tuple[int, ...]) -> tuple[list[tuple[int, ...]], Digraph]:
-    """Moves reversing one cycle via 3-cycles, len(cycle) - 2 of them."""
-    if len(cycle) == 3:
-        return [cycle], _reverse_cycle(g, cycle)
-    i1, i2, i3 = cycle[0], cycle[1], cycle[2]
-    shorter = (i1,) + cycle[2:]
-    if g.has_edge(i1, i3):
-        moves, g2 = _cycle_plan_moves(g, shorter)
-        tri = (i1, i2, i3)
-        return moves + [tri], _reverse_cycle(g2, tri)
-    tri = (i1, i2, i3)
-    g2 = _reverse_cycle(g, tri)
-    moves, g3 = _cycle_plan_moves(g2, shorter)
-    return [tri] + moves, g3
+def _cycle_plan_moves(rows: list[int], cycle: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
+    """Moves reversing one cycle through k-cycles on its first vertex, each
+    cutting k - 2 vertices off the rest; the rows are flipped as they go."""
+    head = cycle[:k]
+    if len(cycle) == k:
+        _reverse_cycle(rows, head)
+        return [head]
+    shorter = (cycle[0],) + cycle[k - 1:]
+    if (rows[cycle[0]] >> cycle[k - 1]) & 1:
+        moves = _cycle_plan_moves(rows, shorter, k)
+        _reverse_cycle(rows, head)
+        return moves + [head]
+    _reverse_cycle(rows, head)
+    return [head] + _cycle_plan_moves(rows, shorter, k)
+
+
+def _plan_cycles(pi: Digraph, gamma: Digraph, cycles: Iterable[tuple[int, ...]], k: int) -> ReversalPlan:
+    """The moves reversing edge-disjoint cycles of Delta one at a time, each
+    cycle of length l in (l - 2) / (k - 2) k-cycle moves, certified by
+    reaching gamma."""
+    rows = list(pi.rows)
+    moves: list[tuple[int, ...]] = []
+    for cycle in cycles:
+        moves.extend(_cycle_plan_moves(rows, cycle, k))
+    if tuple(rows) != gamma.rows:
+        raise InvariantViolation("plan replay does not reach the target")
+    return ReversalPlan(tuple(moves))
+
+
+def _score_preserving_delta(pi: Tournament, gamma: Tournament) -> EdgeSet:
+    if pi.p != gamma.p:
+        raise SizeMismatch("tournaments on different vertex counts")
+    d = delta_id(pi, gamma)
+    if not d.is_eulerian():
+        raise ScoreMismatch("no 3-cycle plan between tournaments with different scores")
+    return d
 
 
 def plan_any(pi: Tournament, gamma: Tournament) -> ReversalPlan:
@@ -138,49 +165,20 @@ def plan_any(pi: Tournament, gamma: Tournament) -> ReversalPlan:
     Reverses the cycles of the greedy decomposition of Delta one at a time;
     a single length-l cycle costs l - 2 steps.
     """
-    if pi.p != gamma.p:
-        raise SizeMismatch("tournaments on different vertex counts")
-    d = delta_id(pi, gamma)
-    if not d.is_eulerian():
-        raise ScoreMismatch("no 3-cycle plan between tournaments with different scores")
-    moves: list[tuple[int, ...]] = []
-    g: Digraph = pi
-    for cycle in cycle_decomposition(d):
-        ms, g = _cycle_plan_moves(g, cycle)
-        moves.extend(ms)
-    if g != gamma:
-        raise InvariantViolation("plan replay does not reach the target")
-    return ReversalPlan(tuple(moves))
+    return _plan_cycles(pi, gamma, cycle_decomposition(_score_preserving_delta(pi, gamma)), 3)
 
 
 def plan_optimal(pi: Tournament, gamma: Tournament) -> ReversalPlan:
     """A minimum-length plan: exactly beta(Delta(pi, gamma)) moves.
 
-    Descent: at each step try the 3-cycles of the current tournament in
-    lexicographic order and keep the first whose reversal provably lowers
-    beta (certified by re-solving the span), which always exists.
+    Reverses the cycles of one maximum decomposition of Delta, the span
+    witness, for |Delta| - 2 span = beta moves in all.
     """
-    if pi.p != gamma.p:
-        raise SizeMismatch("tournaments on different vertex counts")
-    d = delta_id(pi, gamma)
-    if not d.is_eulerian():
-        raise ScoreMismatch("no 3-cycle plan between tournaments with different scores")
-    moves: list[tuple[int, ...]] = []
-    g: Digraph = pi
-    beta = span(d).balance
-    while g != gamma:
-        found = False
-        for tri in three_cycles(g):
-            g2 = _reverse_cycle(g, tri)
-            b2 = span(delta_id(g2, gamma)).balance
-            if b2 == beta - 1:
-                moves.append(tri)
-                g, beta = g2, b2
-                found = True
-                break
-        if not found:
-            raise InvariantViolation("no descent step while the graphs differ")
-    return ReversalPlan(tuple(moves))
+    report = span(_score_preserving_delta(pi, gamma))
+    plan = _plan_cycles(pi, gamma, report.witness, 3)
+    if len(plan) != report.balance:
+        raise InvariantViolation(f"plan has {len(plan)} moves, beta is {report.balance}")
+    return plan
 
 
 def parity(pi: Tournament, gamma: Tournament) -> str:
@@ -209,22 +207,6 @@ def _check_bipartite_tournament(g: Digraph, J: Iterable[int], K: Iterable[int]) 
                 raise ScoreMismatch(f"edge inside one part: {a}->{b}")
 
 
-def _cycle_plan_moves_4(g: Digraph, cycle: tuple[int, ...]) -> tuple[list[tuple[int, ...]], Digraph]:
-    """Moves reversing one even cycle via 4-cycles, len/2 - 1 of them."""
-    if len(cycle) == 4:
-        return [cycle], _reverse_cycle(g, cycle)
-    i1, i2, i3, i4 = cycle[0], cycle[1], cycle[2], cycle[3]
-    shorter = (i1,) + cycle[3:]
-    if g.has_edge(i1, i4):
-        moves, g2 = _cycle_plan_moves_4(g, shorter)
-        quad = (i1, i2, i3, i4)
-        return moves + [quad], _reverse_cycle(g2, quad)
-    quad = (i1, i2, i3, i4)
-    g2 = _reverse_cycle(g, quad)
-    moves, g3 = _cycle_plan_moves_4(g2, shorter)
-    return [quad] + moves, g3
-
-
 def bipartite_plan(pi: Digraph, gamma: Digraph, J: Iterable[int], K: Iterable[int]) -> ReversalPlan:
     """A 4-cycle plan between bipartite tournaments on (J, K) with equal scores.
 
@@ -235,17 +217,10 @@ def bipartite_plan(pi: Digraph, gamma: Digraph, J: Iterable[int], K: Iterable[in
     J, K = list(J), list(K)
     _check_bipartite_tournament(pi, J, K)
     _check_bipartite_tournament(gamma, J, K)
-    d = EdgeSet(pi.p, [(i, j) for (i, j) in pi.edges() if gamma.has_edge(j, i)])
+    d = delta_id(pi, gamma)
     if not d.is_eulerian():
         raise ScoreMismatch("parts have unequal scores; no 4-cycle plan exists")
-    moves: list[tuple[int, ...]] = []
-    g: Digraph = pi
-    for cycle in cycle_decomposition(d):
-        ms, g = _cycle_plan_moves_4(g, cycle)
-        moves.extend(ms)
-    if g != gamma:
-        raise InvariantViolation("plan replay does not reach the target")
-    return ReversalPlan(tuple(moves))
+    return _plan_cycles(pi, gamma, cycle_decomposition(d), 4)
 
 
 # -- special cycles -------------------------------------------------------------

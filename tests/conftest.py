@@ -7,8 +7,9 @@ plain forms of searches the library now prunes or speeds up: the canonical
 refinement tree, whole or orbit-pruned, over the plain refinement step
 (every signature rebuilt from the bitmasks each round, in-colors always
 included) and the plain leaf value (all p^2 pairs), the simple-path DFS
-without its dead-end memory, and the one-sided interchange BFS with its
-own 3-cycle listing.
+without its dead-end memory, the one-sided interchange BFS with its own
+3-cycle listing, and the per-step descent planner that re-solves the span
+after every move.
 """
 
 import random
@@ -26,6 +27,8 @@ from gamegraphs.core import (
     from_rows,
     make_digraph,
 )
+from gamegraphs.eulerian import span, three_cycles
+from gamegraphs.reversal import delta_id
 
 
 @pytest.fixture(scope="session")
@@ -430,3 +433,23 @@ def oracle_interchange_bfs(p: int, src: tuple, dst=None):
         frontier = nxt
         level += 1
     return dist, count
+
+
+def oracle_plan_descent(pi: Digraph, gamma: Digraph) -> list:
+    """A minimum plan by descent: at each step reverse the first 3-cycle, in
+    `three_cycles` order, whose reversal lowers beta, found by re-solving the
+    span for every candidate.  Such a 3-cycle exists while the games differ."""
+    moves = []
+    g = pi
+    beta = span(delta_id(pi, gamma)).balance
+    while g != gamma:
+        for tri in three_cycles(g):
+            g2 = from_rows(g.p, _oracle_flip3(g.rows, tri))
+            b2 = span(delta_id(g2, gamma)).balance
+            if b2 == beta - 1:
+                moves.append(tri)
+                g, beta = g2, b2
+                break
+        else:
+            raise AssertionError("no descent step while the graphs differ")
+    return moves

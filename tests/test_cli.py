@@ -46,6 +46,20 @@ class TestGen:
 
 
 class TestPlan:
+    @pytest.mark.parametrize("line, error", [
+        ("r3 x 1 2", "ParseError"),
+        ("r3 5 0 1", "VertexOutOfRange"),
+        ("r3 -1 0 1", "VertexOutOfRange"),
+    ])
+    def test_apply_bad_plan_file(self, tmp_path, capsys, c3, line, error):
+        g = tmp_path / "c3.game"
+        g.write_text(serialize(c3))
+        plan = tmp_path / "bad.plan"
+        plan.write_text(line + "\n")
+        code, stdout, err = run(capsys, "plan", "apply", str(g), str(plan))
+        assert code == 1 and stdout == ""
+        assert err.startswith(error + ": ")
+
     def test_optimal_single_move(self, tmp_path, capsys, g7iii, g7ii):
         a = tmp_path / "a.game"
         b = tmp_path / "b.game"
@@ -88,6 +102,12 @@ class TestAnalyze:
         src.write_text(serialize(g5))
         code, stdout, _ = run(capsys, "analyze", "scores", str(src))
         assert code == 0 and stdout == "2 2 2 2 2\n"
+
+    def test_scores_of_empty_digraph(self, tmp_path, capsys):
+        src = tmp_path / "empty.digraph"
+        src.write_text("digraph 0\n")
+        code, stdout, err = run(capsys, "analyze", "scores", str(src))
+        assert code == 0 and stdout == "\n" and err == ""
 
     def test_span_report_line(self, tmp_path, capsys, g7i):
         src = tmp_path / "g.game"

@@ -143,6 +143,15 @@ class TestClassify:
         f = classify_digraph(g)
         assert f.is_eulerian and not f.is_tournament and not f.is_game
 
+    def test_empty_graph_is_a_tournament_not_a_game(self, g5):
+        g = from_rows(0, [])
+        assert type(g) is Tournament
+        f = classify_digraph(g)
+        assert f.is_tournament and f.is_eulerian and not f.is_game
+        sub, index = restrict(g5, [])
+        assert type(sub) is Tournament and index == {}
+        assert serialize(g) == "tournament 0\n"
+
     def test_game_iff_tournament_and_eulerian(self):
         rng = random.Random(13)
         for _ in range(30):

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from gamegraphs.atlas import enumerate_games
 from gamegraphs.construct import double
 from gamegraphs.core import (
     EdgeSet,
@@ -34,7 +35,7 @@ from gamegraphs.reversal import (
     special_cycles,
 )
 
-from conftest import disjoint_walk, random_tournament
+from conftest import disjoint_walk, oracle_plan_descent, random_tournament
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -51,6 +52,26 @@ reversal._reverse_cycle = lambda g, cycle: g
 c5 = circulant(5, [1, 2])
 try:
     reversal.plan_any(c5, reverse(c5))
+except InvariantViolation:
+    print("InvariantViolation")
+"""
+
+
+# plan_optimal's length certificate must hold under python -O too: a span
+# report whose balance disagrees with its witness cannot pass.
+_BROKEN_WITNESS = """
+import dataclasses
+from gamegraphs import reversal
+from gamegraphs.core import circulant, reverse
+from gamegraphs.errors import InvariantViolation
+
+if __debug__:
+    raise SystemExit("asserts are live")
+solve = reversal.span
+reversal.span = lambda d: dataclasses.replace(solve(d), balance=solve(d).balance - 1)
+c7 = circulant(7, [1, 2, 3])
+try:
+    reversal.plan_optimal(c7, reverse(c7))
 except InvariantViolation:
     print("InvariantViolation")
 """
@@ -217,6 +238,57 @@ class TestPlanOptimal:
                 plan = plan_optimal(a, b)
                 assert len(plan) == span(delta_id(a, b)).balance
                 assert apply_plan(a, plan) == b
+
+    def test_descent_length_on_size7_pairs(self):
+        rng = random.Random(211)
+        games = list(enumerate_games(7))
+        for _ in range(100):
+            a, b = rng.choice(games), rng.choice(games)
+            plan = plan_optimal(a, b)
+            assert len(plan) == len(oracle_plan_descent(a, b))
+            assert apply_plan(a, plan) == b
+
+    def test_descent_length_on_size9_walks(self):
+        # a relabelled C9 and the game 2 to 8 random 3-cycle flips away
+        rng = random.Random(223)
+        c9 = circulant(9, (1, 2, 3, 4))
+        for steps in range(2, 9):
+            image = list(range(9))
+            rng.shuffle(image)
+            a = relabel(c9, Permutation(image))
+            b = a
+            for _ in range(steps):
+                b = apply_plan(b, ReversalPlan((rng.choice(three_cycles(b)),)))
+            plan = plan_optimal(a, b)
+            assert len(plan) == len(oracle_plan_descent(a, b)) <= steps
+            assert apply_plan(a, plan) == b
+
+    def test_one_span_solve_per_plan(self, monkeypatch, g7i, g7ii, g7iii):
+        from gamegraphs import eulerian, reversal
+
+        calls = []
+
+        def counted(d, *args, **kwargs):
+            calls.append(d)
+            return solve(d, *args, **kwargs)
+
+        solve = eulerian.span
+        monkeypatch.setattr(eulerian, "span", counted)
+        monkeypatch.setattr(reversal, "span", counted)
+        for a in (g7i, g7ii, g7iii):
+            for b in (a, reverse(a), g7iii):
+                calls.clear()
+                plan_optimal(a, b)
+                assert len(calls) == 1
+
+    def test_failed_certificate_raises_under_python_O(self):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", _BROKEN_WITNESS],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "InvariantViolation\n"
 
 
 class TestParity:
