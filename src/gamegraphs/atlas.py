@@ -1,13 +1,13 @@
-"""Exhaustive atlas of labeled games and interchange-graph analytics.
+"""Atlas of labeled games: the isomorphism census and interchange-graph analytics.
 
 The interchange graph has the labeled games of one size as nodes, adjacent
-when a single 3-cycle reversal apart.  BFS distance there must agree with
-the balance invariant of the difference graph, which is checked against the
-span solver in the acceptance suite.  Point-to-point distance and geodesic
-counting search from both ends and stop where the two searches meet
-(Pohl, *Bi-directional search*, 1971); whole-graph sweeps such as the
-diameter search from one source.  Every search steps with one neighbor
-routine over row-mask tuples.
+when a single 3-cycle reversal apart; the census searches it class by
+class.  BFS distance there must agree with the balance invariant of the
+difference graph, which is checked against the span solver in the
+acceptance suite.  Point-to-point distance and geodesic counting search
+from both ends and stop where the two searches meet (Pohl, *Bi-directional
+search*, 1971); whole-graph sweeps such as the diameter search from one
+source.  Every search steps with one neighbor routine over row-mask tuples.
 """
 
 from __future__ import annotations
@@ -17,10 +17,23 @@ from itertools import combinations
 from math import comb, factorial
 from typing import Iterator, Optional, Sequence
 
-from .core import Game
-from .errors import BudgetExceeded, InvariantViolation, SizeMismatch
+from .core import Game, circulant
+from .errors import BudgetExceeded, InvariantViolation, SizeMismatch, VertexOutOfRange
 from .eulerian import _three_cycles, count_eulerian_subgraphs
 from .morph import automorphisms, canon_hex, canonical_form
+
+
+SIZE_LIMIT = 9  # largest size enumerated, pointed-counted or censused
+DIAMETER_LIMIT = 7  # largest size swept from every class
+
+
+def _check_size(p: int, limit: int) -> None:
+    if p < 0:
+        raise VertexOutOfRange(f"vertex count {p} is negative")
+    if p % 2 == 0:
+        raise SizeMismatch("games have odd size")
+    if p > limit:
+        raise BudgetExceeded(f"size {p} is past the budget of size {limit}")
 
 
 def _game_rows(p: int, fixed_row0: Optional[int] = None) -> Iterator[tuple[int, ...]]:
@@ -47,15 +60,9 @@ def _game_rows(p: int, fixed_row0: Optional[int] = None) -> Iterator[tuple[int, 
         if i == p:
             yield tuple(rows)
             return
+        opts = candidates(i)
         if i == 0 and fixed_row0 is not None:
-            opts = []
-            later = list(range(1, p))
-            comb_ = tuple(j for j in later if (fixed_row0 >> j) & 1)
-            if len(comb_) == n:
-                lose = [j for j in later if not (fixed_row0 >> j) & 1]
-                opts = [(fixed_row0, comb_, lose)]
-        else:
-            opts = candidates(i)
+            opts = [opt for opt in opts if opt[0] == fixed_row0]
         for mask, comb_, lose in opts:
             rows[i] |= mask
             wins[i] += len(comb_)
@@ -72,18 +79,16 @@ def _game_rows(p: int, fixed_row0: Optional[int] = None) -> Iterator[tuple[int, 
     yield from rec(0)
 
 
-def enumerate_games(p: int, allow_large: bool = False) -> Iterator[Game]:
+def enumerate_games(p: int) -> Iterator[Game]:
     """All labeled games of size p, lexicographic by row masks, no duplicates."""
-    if p % 2 == 0:
-        raise SizeMismatch("games have odd size")
-    if p > 9 and not allow_large:
-        raise BudgetExceeded("enumeration beyond size 9 needs allow_large=True")
+    _check_size(p, SIZE_LIMIT)
     for rows in _game_rows(p):
         yield Game(p, rows)
 
 
 def count_pointed_games(p: int) -> int:
     """|Games(I+, I-)|: labeled games whose base vertex 0 beats exactly 1..n."""
+    _check_size(p, SIZE_LIMIT)
     n = (p - 1) // 2
     fixed = sum(1 << j for j in range(1, n + 1))
     return sum(1 for _ in _game_rows(p, fixed_row0=fixed))
@@ -106,25 +111,33 @@ class Atlas:
 
 def census(p: int) -> Atlas:
     """Isomorphism census: per class the canonical form, |Aut|, and labeled
-    count, which must equal p!/|Aut|; the labeled total must match the
-    Eulerian-subgraph count of any one game (both are verified here)."""
-    groups: dict[int, list[Game]] = {}
-    total = 0
-    for g in enumerate_games(p):
-        total += 1
-        groups.setdefault(canonical_form(g).bits, []).append(g)
+    count p!/|Aut|, sorted by canonical bits.
+
+    A BFS over classes from the circulant 1..n canonicalizes the 3-cycle
+    neighbors of each new class's first-found member.  Isomorphic games have
+    isomorphic neighbors and the interchange graph is connected, so every
+    class is reached; a missed one would leave the labeled counts short of
+    the DP count of labeled games, which raises InvariantViolation.
+    """
+    _check_size(p, SIZE_LIMIT)
+    start = circulant(p, range(1, (p - 1) // 2 + 1))
+    reps = {canonical_form(start).bits: start}
+    queue = [start]
+    for g in queue:  # grows while it is walked
+        for rows in _neighbors(g.rows, p):
+            h = Game(p, rows)
+            bits = canonical_form(h).bits
+            if bits not in reps:
+                reps[bits] = h
+                queue.append(h)
     classes = []
-    for bits in sorted(groups):
-        members = groups[bits]
-        rep = members[0]
-        aut = automorphisms(rep).order
-        if len(members) * aut != factorial(p):
-            raise InvariantViolation(f"orbit-stabilizer: {len(members)} * {aut} != {p}!")
-        classes.append(ClassInfo(canon_hex(p, bits), aut, len(members), rep))
-    if sum(c.labeled_count for c in classes) != total:
-        raise InvariantViolation("class sizes do not sum to the labeled total")
-    if total and count_eulerian_subgraphs(classes[0].representative) != total:
-        raise InvariantViolation("labeled total differs from the Eulerian-subgraph count")
+    for bits in sorted(reps):
+        aut = automorphisms(reps[bits]).order
+        classes.append(ClassInfo(canon_hex(p, bits), aut, factorial(p) // aut, reps[bits]))
+    total = sum(c.labeled_count for c in classes)
+    labeled = count_eulerian_subgraphs(start)
+    if total != labeled:
+        raise InvariantViolation(f"classes hold {total} labeled games, the DP counts {labeled}")
     return Atlas(p, total, tuple(classes))
 
 
@@ -252,39 +265,17 @@ class DiameterReport:
     witness: tuple[Game, Game]
 
 
-def diameter(p: int, allow_large: bool = False) -> DiameterReport:
+def diameter(p: int) -> DiameterReport:
     """Exact diameter via one full BFS per isomorphism class representative
     (distance spectra are relabeling-invariant, so class reps see every
     eccentricity)."""
-    if p > 7 and not allow_large:
-        raise BudgetExceeded("diameter beyond size 7 needs allow_large=True")
-    atl = census(p)
-    n = (p - 1) // 2
-    best = -1
-    wit = None
-    for cls in atl.classes:
-        dist = _bfs(p, cls.representative.rows)
-        far_rows, far_d = max(dist.items(), key=lambda kv: (kv[1], kv[0]))
-        if far_d > best:
-            best = far_d
-            wit = (cls.representative, Game(p, far_rows))
-    if wit is None:
-        raise InvariantViolation("diameter found no class to sweep from")
-    return DiameterReport(p, best, n * n, wit)
-
-
-def parity_bipartition(p: int) -> tuple[list[Game], list[Game]]:
-    """Games split by parity of |Delta(., base)| with the lexicographically
-    least game as base; every interchange edge crosses the split."""
-    games = list(enumerate_games(p))
-    base = games[0]
-    even, odd = [], []
-    for g in games:
-        diff = sum(
-            1 for (i, j) in g.edges() if base.has_edge(j, i)
-        )
-        (even if diff % 2 == 0 else odd).append(g)
-    return even, odd
+    _check_size(p, DIAMETER_LIMIT)
+    far = []  # per class: eccentricity, representative, a farthest game
+    for cls in census(p).classes:
+        rows, d = max(_bfs(p, cls.representative.rows).items(), key=lambda kv: (kv[1], kv[0]))
+        far.append((d, cls.representative, rows))
+    d, rep, rows = max(far, key=lambda t: t[0])
+    return DiameterReport(p, d, ((p - 1) // 2) ** 2, (rep, Game(p, rows)))
 
 
 def convexity_check(pi: Game, Q: Sequence[int]) -> bool:
@@ -350,13 +341,11 @@ class CountReport:
 def count_report(n: int) -> CountReport:
     """Exact labeled and pointed counts against the formula lower bounds.
 
-    The exact total comes from the Eulerian-subgraph oracle, the pointed
-    count from constrained enumeration, and the product law
+    The exact total comes from the labeled-count DP, the pointed count from
+    constrained enumeration (sizes up to 9), and the product law
     total = C(2n, n) * pointed is verified.  Literature values for n = 3
     are carried along purely for comparison.
     """
-    from .core import circulant
-
     p = 2 * n + 1
     base = circulant(p, range(1, n + 1))
     if not isinstance(base, Game):

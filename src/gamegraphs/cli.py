@@ -21,12 +21,13 @@ from .core import (
     EdgeSet,
     Game,
     Tournament,
+    circulant,
     classify_digraph,
     parse,
     scores,
     serialize,
 )
-from .errors import DomainError, UsageError
+from .errors import DomainError, SizeMismatch, UsageError
 
 
 def _read_graph(path: str) -> Digraph:
@@ -109,12 +110,13 @@ def _cmd_gen(args) -> int:
         _emit(serialize(g), args.output)
     elif args.sub == "random":
         rng = random.Random(args.seed)
-        from .core import circulant
-
+        if args.size % 2 == 0:
+            raise SizeMismatch("games have odd size")
         g = circulant(args.size, range(1, (args.size - 1) // 2 + 1))
-        assert isinstance(g, Game)
         for _ in range(args.steps):
             tris = eulerian.three_cycles(g)
+            if not tris:
+                break  # the 1-vertex game has no 3-cycle to reverse
             a, b, c = tris[rng.randrange(len(tris))]
             g = reversal.apply_plan(g, reversal.ReversalPlan(((a, b, c),)))
         _emit(serialize(g), args.output)
@@ -295,7 +297,9 @@ def _cmd_atlas(args) -> int:
         sys.stdout.write(f"{len(gs)}\n")
     elif args.sub == "census":
         atl = atlas_mod.census(args.p)
-        even, odd = atlas_mod.parity_bipartition(args.p)
+        # from size 3 on, swapping labels 0 and 1 pairs the games an odd
+        # number of edges apart, so each parity of |Delta(., base)| has half
+        t = atl.labeled_total
         _emit(
             _json(
                 {
@@ -309,7 +313,7 @@ def _cmd_atlas(args) -> int:
                         }
                         for c in atl.classes
                     ],
-                    "parity_split": [len(even), len(odd)],
+                    "parity_split": [t - t // 2, t // 2],
                 }
             ),
             args.output,

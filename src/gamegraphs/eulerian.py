@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import groupby
+from math import comb
 from typing import Iterable, Optional, Sequence, Union
 
 from .core import Digraph, EdgeSet, Game, Tournament, _bits, scores
@@ -539,47 +541,51 @@ def steiner_decomposition(g: Game) -> Optional[list[tuple[int, int, int]]]:
     return None
 
 
-def count_eulerian_subgraphs(g: Tournament, budget: int = 1 << 24) -> int:
-    """Number of Eulerian subgraphs (including the empty one).
+# count_eulerian_subgraphs raises TooLarge past this many tuple entries
+# touched: about 2 s, enough for the regular scores through p = 19.
+_COUNT_WORK = 10_000_000
 
-    Equals the number of tournaments with the same scores, hence for a game
-    the number of labeled games of its size.  Meet-in-the-middle over edge
-    subsets keyed by degree-balance vectors; raises TooLarge when either
-    half exceeds the budget.
-    """
-    p = g.p
-    edges = sorted(g.edges())
-    ne = len(edges)
-    half = ne // 2
-    if 1 << max(half, ne - half) > budget:
-        raise TooLarge(f"{ne} edges exceeds the counting budget")
 
-    def table(es: list[tuple[int, int]]) -> dict[tuple[int, ...], int]:
-        out: dict[tuple[int, ...], int] = defaultdict(int)
-        n = len(es)
-        bal = [0] * p
-        # Gray-code walk so each step flips one edge
-        prev = 0
-        out[tuple(bal)] += 1
-        for k in range(1, 1 << n):
-            gray = k ^ (k >> 1)
-            bit = (gray ^ prev).bit_length() - 1
-            u, v = es[bit]
-            if (gray >> bit) & 1:
-                bal[u] += 1
-                bal[v] -= 1
-            else:
-                bal[u] -= 1
-                bal[v] += 1
-            prev = gray
-            out[tuple(bal)] += 1
-        return out
+def count_eulerian_subgraphs(g: Tournament) -> int:
+    """Number of Eulerian subgraphs (including the empty one): reversing one
+    keeps every score, and tournaments with equal scores differ by one, so
+    this counts the labeled tournaments with g's scores (for a game, the
+    labeled games of its size).  A memoized DP over the sorted wins each
+    remaining vertex still needs: the first vertex beats that many of the
+    others, chosen per group of equal need by a binomial, and the rest beat
+    it.  A state is kept in the form, itself or its reversal (needs x ->
+    k-1-x on k vertices), with the smaller first need."""
+    if not isinstance(g, Tournament):
+        raise InvariantViolation("counting Eulerian subgraphs needs a tournament")
+    memo: dict[tuple[int, ...], int] = {(): 1}
+    work = 0
 
-    ta = table(edges[:half])
-    tb = table(edges[half:])
-    total = 0
-    for key, c in ta.items():
-        neg = tuple(-x for x in key)
-        if neg in tb:
-            total += c * tb[neg]
-    return total
+    def count(needs: tuple[int, ...]) -> int:
+        nonlocal work
+        k = len(needs)
+        work += k
+        if k and needs[0] > k - 1 - needs[-1]:
+            needs = tuple(k - 1 - x for x in reversed(needs))
+        if needs in memo:
+            return memo[needs]
+        groups = [(x, len(list(run))) for x, run in groupby(needs[1:])]
+        total = 0
+        # depth first over how many of each group the first vertex beats;
+        # the rest beat it and need one win fewer, so heads stay sorted
+        stack = [(0, needs[0], 1, ())]
+        while stack:
+            i, left, weight, head = stack.pop()
+            if i == len(groups):
+                if left == 0:
+                    total += weight * count(head)
+                continue
+            work += k
+            if work > _COUNT_WORK:
+                raise TooLarge(f"labeled count past {_COUNT_WORK} steps")
+            x, c = groups[i]
+            for b in range(c if x == 0 else 0, min(c, left) + 1):
+                stack.append((i + 1, left - b, weight * comb(c, b), head + (x - 1,) * (c - b) + (x,) * b))
+        memo[needs] = total
+        return total
+
+    return count(scores(g))

@@ -2,23 +2,26 @@
 
 The oracles here deliberately avoid the library's own algorithms: spans by
 exhaustive decomposition enumeration, isomorphism by raw permutation search,
-Eulerian-subgraph counts by direct subset enumeration.  Others keep the
-plain forms of searches the library now prunes or speeds up: the canonical
-refinement tree, whole or orbit-pruned, over the plain refinement step
-(every signature rebuilt from the bitmasks each round, in-colors always
-included) and the plain leaf value (all p^2 pairs), the simple-path DFS
-without its dead-end memory, the one-sided interchange BFS with its own
-3-cycle listing, and the per-step descent planner that re-solves the span
-after every move.
+Eulerian-subgraph counts by direct subset enumeration.  Some keep the
+methods the library replaced: the census by canonicalizing every labeled
+game, the meet-in-the-middle Eulerian-subgraph count, and the parity split
+by enumeration.  Others keep the plain forms of searches the library now
+prunes or speeds up: the canonical refinement tree, whole or orbit-pruned,
+over the plain refinement step (every signature rebuilt from the bitmasks
+each round, in-colors always included) and the plain leaf value (all p^2
+pairs), the simple-path DFS without its dead-end memory, the one-sided
+interchange BFS with its own 3-cycle listing, and the per-step descent
+planner that re-solves the span after every move.
 """
 
 import random
 from collections import defaultdict
 from itertools import combinations, permutations
+from math import factorial
 
 import pytest
 
-from gamegraphs.atlas import census
+from gamegraphs.atlas import Atlas, ClassInfo, census, enumerate_games
 from gamegraphs.core import (
     Digraph,
     EdgeSet,
@@ -28,6 +31,7 @@ from gamegraphs.core import (
     make_digraph,
 )
 from gamegraphs.eulerian import span, three_cycles
+from gamegraphs.morph import automorphisms, canon_hex, canonical_form
 from gamegraphs.reversal import delta_id
 
 
@@ -63,7 +67,8 @@ def g7iii(g7ii) -> Game:
 
 @pytest.fixture(scope="session")
 def census7():
-    """The size-7 census (2,640 canonical forms), built once per session."""
+    """The size-7 census (three classes from the circulant), built once per
+    session."""
     return census(7)
 
 
@@ -453,3 +458,65 @@ def oracle_plan_descent(pi: Digraph, gamma: Digraph) -> list:
         else:
             raise AssertionError("no descent step while the graphs differ")
     return moves
+
+
+def oracle_census(p: int) -> Atlas:
+    """Census by canonicalizing every labeled game (p <= 7 in practice): the
+    first member of each class in enumeration order is its representative,
+    and each class holds p!/|Aut| labeled games."""
+    groups = {}
+    total = 0
+    for g in enumerate_games(p):
+        total += 1
+        groups.setdefault(canonical_form(g).bits, []).append(g)
+    classes = []
+    for bits in sorted(groups):
+        members = groups[bits]
+        aut = automorphisms(members[0]).order
+        assert len(members) * aut == factorial(p)
+        classes.append(ClassInfo(canon_hex(p, bits), aut, len(members), members[0]))
+    return Atlas(p, total, tuple(classes))
+
+
+def oracle_count_mitm(g: Digraph) -> int:
+    """Eulerian subgraphs by meet in the middle over edge subsets keyed by
+    degree-balance vectors, each half walked in Gray-code order so each step
+    flips one edge; viable up to ~40 edges."""
+    p = g.p
+    edges = sorted(g.edges())
+    half = len(edges) // 2
+
+    def table(es):
+        out = defaultdict(int)
+        bal = [0] * p
+        prev = 0
+        out[tuple(bal)] += 1
+        for k in range(1, 1 << len(es)):
+            gray = k ^ (k >> 1)
+            bit = (gray ^ prev).bit_length() - 1
+            u, v = es[bit]
+            if (gray >> bit) & 1:
+                bal[u] += 1
+                bal[v] -= 1
+            else:
+                bal[u] -= 1
+                bal[v] += 1
+            prev = gray
+            out[tuple(bal)] += 1
+        return out
+
+    ta = table(edges[:half])
+    tb = table(edges[half:])
+    return sum(c * tb.get(tuple(-x for x in key), 0) for key, c in ta.items())
+
+
+def oracle_parity_bipartition(p: int):
+    """Labeled games split by the parity of |Delta(., base)|, the base being
+    the lexicographically least game."""
+    games = list(enumerate_games(p))
+    base = games[0]
+    even, odd = [], []
+    for g in games:
+        diff = sum(1 for (i, j) in g.edges() if base.has_edge(j, i))
+        (even if diff % 2 == 0 else odd).append(g)
+    return even, odd

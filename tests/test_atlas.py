@@ -1,7 +1,9 @@
+import json
 import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from math import factorial
 from pathlib import Path
 
@@ -18,14 +20,21 @@ from gamegraphs.atlas import (
     enumerate_games,
     geodesic_count,
     interchange_distance,
-    parity_bipartition,
 )
+from gamegraphs.cli import main
 from gamegraphs.core import Game, Permutation, circulant, relabel, reverse
 from gamegraphs.errors import BudgetExceeded
 from gamegraphs.eulerian import span, three_cycle_stats
+from gamegraphs.morph import canon_hex, canonical_form
 from gamegraphs.reversal import delta_id
 
-from conftest import all_labeled_tournaments, disjoint_walk, oracle_interchange_bfs
+from conftest import (
+    all_labeled_tournaments,
+    disjoint_walk,
+    oracle_census,
+    oracle_interchange_bfs,
+    oracle_parity_bipartition,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -42,6 +51,21 @@ try:
     atlas.count_report(2)
 except InvariantViolation:
     print("InvariantViolation")
+"""
+
+# The census mass check must raise even when asserts are stripped: here the
+# labeled count it is held against is off by one.
+_BROKEN_MASS = """
+from gamegraphs import atlas
+from gamegraphs.errors import InvariantViolation
+
+if __debug__:
+    raise SystemExit("asserts are live")
+atlas.count_eulerian_subgraphs = lambda g: 25
+try:
+    atlas.census(5)
+except InvariantViolation as exc:
+    print("InvariantViolation", exc)
 """
 
 
@@ -87,6 +111,37 @@ class TestCensus:
         for c in atl.classes:
             assert c.labeled_count == factorial(7) // c.aut_order
 
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_matches_enumeration_oracle(self, p, census7):
+        atl = census7 if p == 7 else census(p)
+        want = oracle_census(p)
+        assert atl.labeled_total == want.labeled_total
+        got = [(c.canon_hex, c.aut_order, c.labeled_count) for c in atl.classes]
+        assert got == [(c.canon_hex, c.aut_order, c.labeled_count) for c in want.classes]
+        for c in atl.classes:
+            assert canon_hex(p, canonical_form(c.representative).bits) == c.canon_hex
+
+    def test_size9_pinned(self):
+        atl = census(9)
+        assert len(atl.classes) == 15
+        assert atl.labeled_total == 3_230_080
+        assert Counter(c.aut_order for c in atl.classes) == {1: 7, 3: 5, 9: 2, 81: 1}
+        for c in atl.classes:
+            assert canon_hex(9, canonical_form(c.representative).bits) == c.canon_hex
+
+    def test_mass_check_raises_under_python_O(self):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", _BROKEN_MASS],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "InvariantViolation classes hold 24 labeled games, the DP counts 25\n"
+
+    def test_budget(self):
+        with pytest.raises(BudgetExceeded):
+            census(11)
+
 
 class TestPointedCounts:
     def test_n2(self):
@@ -94,6 +149,11 @@ class TestPointedCounts:
 
     def test_n3(self):
         assert count_pointed_games(7) == 132
+
+    def test_budget(self):
+        # the count lists pointed games, 191 million of them at size 11
+        with pytest.raises(BudgetExceeded):
+            count_pointed_games(11)
 
 
 class TestDistance:
@@ -195,15 +255,15 @@ class TestDiameter:
 
 class TestParity:
     def test_size3(self):
-        even, odd = parity_bipartition(3)
+        even, odd = oracle_parity_bipartition(3)
         assert len(even) == 1 and len(odd) == 1
 
     def test_size5_split(self):
-        even, odd = parity_bipartition(5)
+        even, odd = oracle_parity_bipartition(5)
         assert len(even) == 12 and len(odd) == 12
 
     def test_edges_cross(self):
-        even, odd = parity_bipartition(5)
+        even, odd = oracle_parity_bipartition(5)
         even_set = {g.rows for g in even}
         for g in even + odd:
             side = g.rows in even_set
@@ -211,11 +271,17 @@ class TestParity:
                 assert (rows in even_set) != side
 
     def test_transposition_lands_across(self, g5):
-        even, odd = parity_bipartition(5)
+        even, odd = oracle_parity_bipartition(5)
         even_set = {g.rows for g in even}
         rho = Permutation([1, 0, 2, 3, 4])
         img = relabel(g5, rho)
         assert (g5.rows in even_set) != (img.rows in even_set)
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_census_split_matches_oracle(self, p, capsys):
+        assert main(["atlas", "census", str(p)]) == 0
+        even, odd = oracle_parity_bipartition(p)
+        assert json.loads(capsys.readouterr().out)["parity_split"] == [len(even), len(odd)]
 
 
 class TestSteinerStepOut:

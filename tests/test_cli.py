@@ -38,6 +38,16 @@ class TestGen:
         assert code1 == code2 == 0 and out1 == out2
         assert parse(out1).p == 7
 
+    def test_random_even_size(self, capsys):
+        code, stdout, err = run(capsys, "gen", "random", "--size", "4", "--seed", "5")
+        assert code == 1 and stdout == "" and err.startswith("SizeMismatch")
+
+    def test_random_one_vertex_stays_put(self, capsys):
+        code, stdout, _ = run(capsys, "gen", "random", "--size", "1", "--seed", "5")
+        code0, still, _ = run(capsys, "gen", "random", "--size", "1", "--seed", "5", "--steps", "0")
+        assert code == code0 == 0
+        assert stdout == still == serialize(circulant(1, ()))
+
     def test_saturate(self, tmp_path, capsys, c3):
         src = tmp_path / "c3.game"
         src.write_text(serialize(c3))
@@ -217,6 +227,16 @@ class TestAtlas:
     def test_enumerate(self, capsys):
         code, stdout, _ = run(capsys, "atlas", "enumerate", "5")
         assert code == 0 and stdout == "24\n"
+
+    @pytest.mark.parametrize("verb", ["census", "enumerate", "diameter"])
+    def test_negative_size(self, capsys, verb):
+        code, stdout, err = run(capsys, "atlas", verb, "-1")
+        assert code == 1 and stdout == "" and err.startswith("VertexOutOfRange")
+
+    def test_report_past_the_budget(self, capsys):
+        # the labeled total is cheap at size 11, the pointed count is not
+        code, stdout, err = run(capsys, "atlas", "report", "5")
+        assert code == 1 and stdout == "" and err.startswith("BudgetExceeded")
 
     def test_report_banner(self, capsys):
         code, stdout, err = run(capsys, "atlas", "report", "3")

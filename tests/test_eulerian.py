@@ -1,9 +1,19 @@
 import random
+import time
+from collections import Counter
 
 import pytest
 
 from gamegraphs.core import EdgeSet, circulant, from_rows, make_digraph, reverse, scores
-from gamegraphs.errors import BadLength, BudgetExceeded, NotConnected, NotEulerian, NotStrong
+from gamegraphs.errors import (
+    BadLength,
+    BudgetExceeded,
+    InvariantViolation,
+    NotConnected,
+    NotEulerian,
+    NotStrong,
+    TooLarge,
+)
 from gamegraphs.eulerian import (
     _simple_path,
     count_eulerian_subgraphs,
@@ -21,6 +31,8 @@ from gamegraphs.eulerian import (
 )
 
 from conftest import (
+    all_labeled_tournaments,
+    oracle_count_mitm,
     oracle_eulerian_count,
     oracle_simple_path,
     oracle_span,
@@ -410,3 +422,40 @@ class TestEulerianCount:
             key = scores(g)
             val = count_eulerian_subgraphs(g)
             assert seen.setdefault(key, val) == val
+
+    def test_tally_of_all_size6_tournaments(self):
+        # every labeled tournament on 6 vertices, tallied by its score vector
+        tally = Counter()
+        first = {}
+        for g in all_labeled_tournaments(6):
+            key = tuple(g.out_degree(v) for v in range(6))
+            tally[key] += 1
+            first.setdefault(key, g)
+        assert sum(tally.values()) == 2 ** 15
+        for key, g in first.items():
+            assert count_eulerian_subgraphs(g) == tally[key]
+
+    def test_meet_in_the_middle_oracle(self):
+        rng = random.Random(41)
+        for p in (3, 4, 5, 6, 7, 8, 8, 9, 9):
+            g = random_tournament(p, rng)
+            assert count_eulerian_subgraphs(g) == oracle_count_mitm(g)
+        for p in (7, 9):
+            g = circulant(p, range(1, (p - 1) // 2 + 1))
+            assert count_eulerian_subgraphs(g) == oracle_count_mitm(g)
+
+    def test_labeled_games_pinned(self):
+        # OEIS A007079, labeled regular tournaments
+        assert count_eulerian_subgraphs(circulant(11, range(1, 6))) == 48_251_508_480
+        assert count_eulerian_subgraphs(circulant(13, range(1, 7))) == 9_307_700_611_292_160
+
+    def test_work_cap_on_64_vertices(self):
+        g = random_tournament(64, random.Random(64))
+        t0 = time.time()
+        with pytest.raises(TooLarge):
+            count_eulerian_subgraphs(g)
+        assert time.time() - t0 < 5.0
+
+    def test_needs_a_tournament(self):
+        with pytest.raises(InvariantViolation):
+            count_eulerian_subgraphs(make_digraph(4, [(0, 1), (1, 2), (2, 0)]))
