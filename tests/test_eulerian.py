@@ -218,6 +218,17 @@ class TestSpan:
             check_decomposition(d, rep.witness)
             assert span_lower_bound(d).span == greedy_span
 
+    @pytest.mark.parametrize("d, nodes", [
+        (EdgeSet.from_digraph(circulant(9, (1, 2, 3, 4))), 6298),
+        (EdgeSet.from_digraph(from_rows(11, SPAN17_GREEDY_16)), 4068),
+    ], ids=["C9", "SPAN17_GREEDY_16"])
+    def test_node_count_pinned(self, d, nodes):
+        # the root and every fitting child count one node, so a search that
+        # visits the same nodes completes at exactly this budget
+        assert span(d, node_budget=nodes) == span(d)
+        with pytest.raises(BudgetExceeded):
+            span(d, node_budget=nodes - 1)
+
     def test_cycle_budget_counts_the_capped_list(self):
         # greedy 16 caps cycle length at 55 - 48 = 7: 5732 cycles are listed,
         # against 37220 without the cap
