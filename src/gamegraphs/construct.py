@@ -27,6 +27,7 @@ from .errors import (
     BadK,
     EvenSize,
     FiberCountMismatch,
+    InvariantViolation,
     NotEulerian,
     NotReducible,
     NotSteiner,
@@ -319,7 +320,8 @@ def realize_pointed(gp: Tournament, gm: Tournament) -> tuple[Game, DoubleLayout]
         g = g2
     got_p, _ = restrict(g, sorted(plus_set))
     got_m, _ = restrict(g, sorted(minus_set))
-    assert got_p == gp and got_m == gm
+    if got_p != gp or got_m != gm:
+        raise InvariantViolation("pointed game does not restrict to the two tournaments")
     return g, lay
 
 
@@ -381,14 +383,17 @@ def eulerian_to_game(d: Digraph | EdgeSet, record: Optional[list[int]] = None) -
                 frontier = nxt
             if path:
                 break
-        assert path is not None, "a free over-to-under path always exists"
+        if path is None:
+            raise InvariantViolation("no free over-to-under path")
         g = reverse_subgraph(g, EdgeSet(p, list(zip(path, path[1:]))))
         dev -= 1
         if record is not None:
             record.append(deviation(g))
-        assert record is None or record[-1] == dev
+        if record is not None and record[-1] != dev:
+            raise InvariantViolation("deviation did not drop by one")
     out = from_rows(p, g.rows)
-    assert isinstance(out, Game) and d.is_subgraph_of(out)
+    if not isinstance(out, Game) or not d.is_subgraph_of(out):
+        raise InvariantViolation("completion is not a game containing the digraph")
     return out
 
 
@@ -493,10 +498,13 @@ def _validate_steiner_witness(g: Game, witness: Sequence[tuple[int, int, int]]) 
     seen: set[tuple[int, int]] = set()
     for (a, b, c) in witness:
         for (x, y) in ((a, b), (b, c), (c, a)):
-            assert g.has_edge(x, y), f"witness edge {x}->{y} missing"
-            assert (x, y) not in seen, f"witness reuses edge {x}->{y}"
+            if not g.has_edge(x, y):
+                raise InvariantViolation(f"witness edge {x}->{y} missing")
+            if (x, y) in seen:
+                raise InvariantViolation(f"witness reuses edge {x}->{y}")
             seen.add((x, y))
-    assert len(seen) == g.edge_count(), "witness does not cover the game"
+    if len(seen) != g.edge_count():
+        raise InvariantViolation("witness does not cover the game")
 
 
 def nonreducible_from(pi: Game) -> Game:

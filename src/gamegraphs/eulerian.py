@@ -206,8 +206,15 @@ def span(d: GraphLike, node_budget: int = 50_000_000, cycle_budget: int = 2_000_
     Branches over the listed cycles through the lexicographically least
     uncovered edge, shortest cycles first (ties by vertex sequence), pruning
     a branch when taken + floor(remaining/3) cannot beat the best
-    decomposition found so far.  When no decomposition beats the greedy one,
-    the witness is the greedy decomposition itself.
+    decomposition found so far.  Each cycle is filed once, under its own
+    least edge: every edge below the least uncovered one is covered, so a
+    cycle through that edge fits only if the edge is its least, and the
+    list for it holds exactly the cycles that can fit, in the same order.
+    A node tests each fitting child (leaf, bound, memo) before the call, so
+    only surviving children recurse; the root and every fitting child count
+    one node against node_budget.  When no decomposition beats the greedy
+    one, the witness is the greedy decomposition itself.  The witness is
+    checked to cover the edges disjointly with span cycles before return.
     """
     lower = span_lower_bound(d)
     ne, best = lower.edge_count, lower.span
@@ -217,48 +224,55 @@ def span(d: GraphLike, node_budget: int = 50_000_000, cycle_budget: int = 2_000_
     cycles = _all_cycles(p, edges, cycle_budget, max(3, ne - 3 * best))
     through: list[list[tuple[int, int, int]]] = [[] for _ in range(ne)]
     for ci, (length, _, mask) in enumerate(cycles):
-        m = mask
-        while m:
-            b = m & -m
-            through[b.bit_length() - 1].append((length, mask, ci))
-            m ^= b
+        through[(mask & -mask).bit_length() - 1].append((length, mask, ci))
     full = (1 << ne) - 1
     best_stack: Optional[tuple[int, ...]] = None
     seen: dict[int, int] = {}
-    nodes = 0
+    nodes = 1  # the root
+    if nodes > node_budget:
+        raise BudgetExceeded(f"span search exceeded {node_budget} nodes")
     stack: list[int] = []
 
-    def rec(mask: int, cur: int) -> None:
+    def rec(mask: int, cur: int, rem: int) -> None:
         nonlocal best, best_stack, nodes
-        nodes += 1
-        if nodes > node_budget:
-            raise BudgetExceeded(f"span search exceeded {node_budget} nodes")
-        if mask == 0:
-            if cur > best:
-                best = cur
-                best_stack = tuple(stack)
-            return
-        rem = bin(mask).count("1")
-        if cur + rem // 3 <= best:
-            return
-        prev = seen.get(mask, -1)
-        if prev >= cur:
-            return
-        seen[mask] = cur
-        least = (mask & -mask).bit_length() - 1
-        for length, cmask, ci in through[least]:
-            if best >= cur and length > rem - 3 * (best - cur):
-                break  # even a perfect 3-cycle tail cannot beat best
-            if cmask & mask == cmask:
-                stack.append(ci)
-                rec(mask ^ cmask, cur + 1)
-                stack.pop()
+        nxt = cur + 1
+        # a longer cycle cannot beat best even with a perfect 3-cycle tail;
+        # when cur > best, limit exceeds rem and no longer cycle fits
+        limit = rem - 3 * (best - cur)
+        for length, cmask, ci in through[(mask & -mask).bit_length() - 1]:
+            if length > limit:
+                break
+            if cmask & mask != cmask:
+                continue
+            nodes += 1
+            if nodes > node_budget:
+                raise BudgetExceeded(f"span search exceeded {node_budget} nodes")
+            child = mask ^ cmask
+            if child == 0:
+                if nxt > best:
+                    best = nxt
+                    best_stack = (*stack, ci)
+                    limit = rem - 3 * (best - cur)
+                continue
+            left = rem - length
+            if nxt + left // 3 <= best or seen.get(child, -1) >= nxt:
+                continue
+            seen[child] = nxt
+            stack.append(ci)
+            rec(child, nxt, left)
+            stack.pop()
+            limit = rem - 3 * (best - cur)
 
-    rec(full, 0)
+    if ne // 3 > best:
+        seen[full] = 0
+        rec(full, 0, ne)
     if best_stack is None:
         witness = lower.witness
     else:
         witness = tuple(normalize_cycle(cycles[ci][1]) for ci in best_stack)
+    covered = [e for cyc in witness for e in cycle_edges(cyc)]
+    if len(witness) != best or len(covered) != ne or set(covered) != set(edges):
+        raise InvariantViolation("span witness does not decompose the edges into span cycles")
     return DecompReport(ne, best, ne - 2 * best, witness)
 
 

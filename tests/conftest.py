@@ -10,8 +10,10 @@ prunes or speeds up: the canonical refinement tree, whole or orbit-pruned,
 over the plain refinement step (every signature rebuilt from the bitmasks
 each round, in-colors always included) and the plain leaf value (all p^2
 pairs), the simple-path DFS without its dead-end memory, the one-sided
-interchange BFS with its own 3-cycle listing, and the per-step descent
-planner that re-solves the span after every move.
+interchange BFS with its own 3-cycle listing, the per-step descent
+planner that re-solves the span after every move, and the span branch and
+bound that files each cycle under every one of its edges and tests each
+child after the call.
 """
 
 import random
@@ -30,7 +32,15 @@ from gamegraphs.core import (
     from_rows,
     make_digraph,
 )
-from gamegraphs.eulerian import span, three_cycles
+from gamegraphs.eulerian import (
+    DecompReport,
+    _all_cycles,
+    _edge_list,
+    normalize_cycle,
+    span,
+    span_lower_bound,
+    three_cycles,
+)
 from gamegraphs.morph import automorphisms, canon_hex, canonical_form
 from gamegraphs.reversal import delta_id
 
@@ -197,6 +207,58 @@ def oracle_span(d: EdgeSet) -> int:
         return top
 
     return best(frozenset(edges))
+
+
+def oracle_span_search(d) -> DecompReport:
+    """The span branch and bound in its plain form: each cycle is filed
+    under every edge it contains, the popcount is recomputed per node, and
+    every fitting child is entered before its leaf, bound and memo tests.
+    Same node order, memo and witness as `span`."""
+    lower = span_lower_bound(d)
+    ne, best = lower.edge_count, lower.span
+    if ne == 0:
+        return lower
+    p, edges = _edge_list(d)
+    cycles = _all_cycles(p, edges, 2_000_000, max(3, ne - 3 * best))
+    through = [[] for _ in range(ne)]
+    for ci, (length, _, mask) in enumerate(cycles):
+        m = mask
+        while m:
+            b = m & -m
+            through[b.bit_length() - 1].append((length, mask, ci))
+            m ^= b
+    best_stack = None
+    seen = {}
+    stack = []
+
+    def rec(mask: int, cur: int) -> None:
+        nonlocal best, best_stack
+        if mask == 0:
+            if cur > best:
+                best = cur
+                best_stack = tuple(stack)
+            return
+        rem = bin(mask).count("1")
+        if cur + rem // 3 <= best:
+            return
+        if seen.get(mask, -1) >= cur:
+            return
+        seen[mask] = cur
+        least = (mask & -mask).bit_length() - 1
+        for length, cmask, ci in through[least]:
+            if best >= cur and length > rem - 3 * (best - cur):
+                break
+            if cmask & mask == cmask:
+                stack.append(ci)
+                rec(mask ^ cmask, cur + 1)
+                stack.pop()
+
+    rec((1 << ne) - 1, 0)
+    if best_stack is None:
+        witness = lower.witness
+    else:
+        witness = tuple(normalize_cycle(cycles[ci][1]) for ci in best_stack)
+    return DecompReport(ne, best, ne - 2 * best, witness)
 
 
 def oracle_eulerian_count(g: Digraph) -> int:

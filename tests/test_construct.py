@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -51,6 +55,48 @@ from gamegraphs.morph import are_isomorphic, automorphisms, classify7
 from gamegraphs.reversal import reverse_subgraph
 
 from conftest import all_labeled_tournaments, random_eulerian_edgeset, standard_order
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Each construction certificate must raise even when asserts are stripped.
+# The Steiner witnesses are broken directly (a missing edge, a reused edge,
+# an uncovered game); the other checks get a patched helper: restrict hands
+# back the wrong tournament, no vertex has successors, reversing a path
+# changes nothing, and from_rows builds a plain digraph.
+_BROKEN_CERTIFICATES = """
+from contextlib import nullcontext
+from unittest import mock
+
+from gamegraphs import construct
+from gamegraphs.core import Digraph, EdgeSet, circulant, reverse
+from gamegraphs.errors import InvariantViolation
+
+if __debug__:
+    raise SystemExit("asserts are live")
+c3 = circulant(3, (1,))
+cases = [
+    ("steiner_missing", nullcontext(),
+     lambda: construct._validate_steiner_witness(c3, [(0, 2, 1)])),
+    ("steiner_reused", nullcontext(),
+     lambda: construct._validate_steiner_witness(c3, [(0, 1, 2), (1, 2, 0)])),
+    ("steiner_cover", nullcontext(),
+     lambda: construct._validate_steiner_witness(c3, [])),
+    ("restriction", mock.patch.object(construct, "restrict", lambda g, J: (reverse(c3), None)),
+     lambda: construct.realize_pointed(c3, c3)),
+    ("path", mock.patch.object(construct, "_bits", lambda m: []),
+     lambda: construct.eulerian_to_game(EdgeSet(5, []))),
+    ("deviation", mock.patch.object(construct, "reverse_subgraph", lambda g, d: g),
+     lambda: construct.eulerian_to_game(EdgeSet(5, []), record=[])),
+    ("result", mock.patch.object(construct, "from_rows", Digraph),
+     lambda: construct.eulerian_to_game(circulant(5, (1, 2)))),
+]
+for name, patch, run in cases:
+    with patch:
+        try:
+            run()
+        except InvariantViolation:
+            print(name)
+"""
 
 
 class TestDouble:
@@ -313,6 +359,20 @@ class TestEulerianToGame:
     def test_not_eulerian_rejected(self):
         with pytest.raises(NotEulerian):
             eulerian_to_game(EdgeSet(5, [(0, 1)]))
+
+
+class TestCertificates:
+    def test_certificates_raise_under_python_O(self):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", _BROKEN_CERTIFICATES],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == [
+            "steiner_missing", "steiner_reused", "steiner_cover",
+            "restriction", "path", "deviation", "result",
+        ]
 
 
 class TestEmbedInGame:

@@ -1,6 +1,10 @@
+import os
 import random
+import subprocess
+import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -32,10 +36,12 @@ from gamegraphs.eulerian import (
 
 from conftest import (
     all_labeled_tournaments,
+    disjoint_walk,
     oracle_count_mitm,
     oracle_eulerian_count,
     oracle_simple_path,
     oracle_span,
+    oracle_span_search,
     random_eulerian_edgeset,
     random_tournament,
     standard_order,
@@ -47,6 +53,46 @@ from conftest import (
 # cycles and the search must beat it.
 SPAN17_GREEDY_MAX = (1222, 124, 248, 433, 481, 1857, 1928, 1826, 1543, 31, 542)
 SPAN17_GREEDY_16 = (186, 124, 121, 1488, 1504, 968, 1921, 1798, 1543, 31, 551)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# span's witness certificate must raise even when asserts are stripped: the
+# search's witness is broken by listing every cycle backwards (the masks,
+# and so the search, are unchanged), the greedy one by dropping a cycle.
+_BROKEN_WITNESS = """
+import dataclasses
+from unittest import mock
+
+from gamegraphs import eulerian
+from gamegraphs.core import EdgeSet, circulant
+from gamegraphs.errors import InvariantViolation
+
+if __debug__:
+    raise SystemExit("asserts are live")
+all_cycles, lower_bound = eulerian._all_cycles, eulerian.span_lower_bound
+
+
+def backwards(*args):
+    return [(k, verts[::-1], mask) for (k, verts, mask) in all_cycles(*args)]
+
+
+def short(d):
+    rep = lower_bound(d)
+    return dataclasses.replace(rep, witness=rep.witness[:-1])
+
+
+ring = EdgeSet(9, [(i, (i + 1) % 9) for i in range(9)] + [(6, 3), (3, 0), (0, 6)])
+cases = [
+    ("search", mock.patch.object(eulerian, "_all_cycles", backwards), ring),
+    ("greedy", mock.patch.object(eulerian, "span_lower_bound", short), circulant(7, (1, 2, 3))),
+]
+for name, patch, d in cases:
+    with patch:
+        try:
+            eulerian.span(d)
+        except InvariantViolation:
+            print(name)
+"""
 
 
 def check_decomposition(d: EdgeSet, cycles) -> None:
@@ -228,6 +274,34 @@ class TestSpan:
         assert span(d, node_budget=nodes) == span(d)
         with pytest.raises(BudgetExceeded):
             span(d, node_budget=nodes - 1)
+
+    @pytest.mark.parametrize("seed, p, tries", [(5, 7, 3), (9, 7, 4), (21, 8, 30), (1, 9, 5)])
+    def test_same_report_as_plain_search_on_seeded_digraphs(self, seed, p, tries):
+        rng = random.Random(seed)
+        for _ in range(25):
+            d = random_eulerian_edgeset(p, rng, tries)
+            assert span(d) == oracle_span_search(d)
+
+    def test_same_report_as_plain_search_on_size11_games(self):
+        pinned = [from_rows(11, rows) for rows in (SPAN17_GREEDY_MAX, SPAN17_GREEDY_16)]
+        # disjoint walks from C11 (span 15): (steps, seed) -> span 17 or 18
+        c11 = circulant(11, range(1, 6))
+        walks = [disjoint_walk(c11, steps, random.Random(seed))
+                 for steps, seed in ((3, 0), (3, 1), (4, 0), (4, 1), (5, 4))]
+        for g in pinned + walks:
+            d = EdgeSet.from_digraph(g)
+            rep = span(d)
+            assert rep.span in (17, 18)
+            assert rep == oracle_span_search(d)
+
+    def test_witness_certificate_raises_under_python_O(self):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", _BROKEN_WITNESS],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["search", "greedy"]
 
     def test_cycle_budget_counts_the_capped_list(self):
         # greedy 16 caps cycle length at 55 - 48 = 7: 5732 cycles are listed,
