@@ -7,7 +7,8 @@ difference graph, which is checked against the span solver in the
 acceptance suite.  Point-to-point distance and geodesic counting search
 from both ends and stop where the two searches meet (Pohl, *Bi-directional
 search*, 1971); whole-graph sweeps such as the diameter search from one
-source.  Every search steps with one neighbor routine over row-mask tuples.
+source over the materialized `FullInterchange`.  Every search steps with one
+neighbor routine over row-mask tuples.
 """
 
 from __future__ import annotations
@@ -185,22 +186,6 @@ class FullInterchange:
         return dist
 
 
-def _bfs(p: int, src: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-    """Single-source sweep: the distance from src to every game of its size."""
-    dist = {src: 0}
-    frontier = [src]
-    while frontier:
-        nxt = []
-        for rows in frontier:
-            d = dist[rows] + 1
-            for r2 in _neighbors(rows, p):
-                if r2 not in dist:
-                    dist[r2] = d
-                    nxt.append(r2)
-        frontier = nxt
-    return dist
-
-
 def _meet(p: int, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, int, int]:
     """Bidirectional BFS from a and b: (distance, number of geodesics, games
     stored by both ends).
@@ -268,12 +253,15 @@ class DiameterReport:
 def diameter(p: int) -> DiameterReport:
     """Exact diameter via one full BFS per isomorphism class representative
     (distance spectra are relabeling-invariant, so class reps see every
-    eccentricity)."""
+    eccentricity).  The nodes are in lexicographic row order, so a tie
+    between farthest games goes to the greatest row tuple."""
     _check_size(p, DIAMETER_LIMIT)
+    graph = FullInterchange(p)
     far = []  # per class: eccentricity, representative, a farthest game
     for cls in census(p).classes:
-        rows, d = max(_bfs(p, cls.representative.rows).items(), key=lambda kv: (kv[1], kv[0]))
-        far.append((d, cls.representative, rows))
+        dist = graph.bfs(graph.index[cls.representative.rows])
+        d, k = max((d, k) for k, d in enumerate(dist))
+        far.append((d, cls.representative, graph.nodes[k]))
     d, rep, rows = max(far, key=lambda t: t[0])
     return DiameterReport(p, d, ((p - 1) // 2) ** 2, (rep, Game(p, rows)))
 

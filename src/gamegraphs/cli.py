@@ -18,7 +18,6 @@ from . import atlas as atlas_mod
 from . import construct, eulerian, groups, morph, reversal
 from .core import (
     Digraph,
-    EdgeSet,
     Game,
     Tournament,
     circulant,
@@ -50,6 +49,12 @@ def _ints(s: str) -> list[int]:
         raise UsageError(f"expected comma-separated integers, got {s!r}")
 
 
+def _arity(xs: list[int], k: int, form: str) -> list[int]:
+    if len(xs) != k:
+        raise UsageError(f"expected {form}, got {len(xs)} integers")
+    return xs
+
+
 def _json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
@@ -59,12 +64,13 @@ def _group_from_args(args) -> groups.FiniteGroup:
     if len(picked) != 1:
         raise UsageError("pick exactly one of --cyclic/--product/--semidirect/--group-file")
     if args.cyclic:
-        return groups.cyclic_group(int(args.cyclic))
+        (m,) = _arity(_ints(args.cyclic), 1, "--cyclic m")
+        return groups.cyclic_group(m)
     if args.product:
-        m1, m2 = _ints(args.product)
+        m1, m2 = _arity(_ints(args.product), 2, "--product m1,m2")
         return groups.direct_product(groups.cyclic_group(m1), groups.cyclic_group(m2))
     if args.semidirect:
-        q, p, a = _ints(args.semidirect)
+        q, p, a = _arity(_ints(args.semidirect), 3, "--semidirect q,p,a")
         return groups.semidirect_cyclic(q, p, a)
     return groups.parse_group(Path(args.group_file).read_text())
 
@@ -165,8 +171,7 @@ def _cmd_analyze(args) -> int:
             args.output,
         )
     elif args.sub == "span":
-        d = EdgeSet.from_digraph(g)
-        rep = eulerian.span_lower_bound(d) if args.bound_only else eulerian.span(d)
+        rep = eulerian.span_lower_bound(g) if args.bound_only else eulerian.span(g)
         _emit(eulerian.format_decomposition(rep), args.output)
     elif args.sub == "steiner":
         triples = eulerian.steiner_decomposition(_require_game(g))

@@ -35,6 +35,7 @@ from .errors import (
     SizeMismatch,
     TooLarge,
     TooSmall,
+    VertexOutOfRange,
 )
 from .eulerian import steiner_decomposition
 from .reversal import reverse_subgraph
@@ -85,7 +86,7 @@ def double(t: Tournament) -> tuple[Game, DoubleLayout]:
     return g, lay
 
 
-def double_cross_edges(lay: DoubleLayout) -> EdgeSet:
+def double_cross_edges(lay: DoubleLayout) -> Digraph:
     """X(2t): the bipartite edges between the two copies."""
     n = lay.n
     es = []
@@ -96,7 +97,7 @@ def double_cross_edges(lay: DoubleLayout) -> EdgeSet:
     return EdgeSet(2 * n + 1, es)
 
 
-def double_layer_edges(lay: DoubleLayout, sign: int) -> EdgeSet:
+def double_layer_edges(lay: DoubleLayout, sign: int) -> Digraph:
     """The copy of the source inside the minus (sign=-1) or plus (sign=+1) layer."""
     n = lay.n
     off = lay.minus if sign < 0 else lay.plus
@@ -200,7 +201,7 @@ class ReducibilityReport:
     is empty, a disjoint union of separated simple paths, or one Hamiltonian
     cycle (exactly when the game is the circulant on differences 1..n)."""
 
-    edges: EdgeSet
+    edges: Digraph
     kind: str  # "empty" | "paths" | "hamiltonian_cycle"
     components: tuple[tuple[int, ...], ...]
 
@@ -251,7 +252,7 @@ class PointedGame:
     Pi_minus: Tournament
     plus_index: dict[int, int]
     minus_index: dict[int, int]
-    Xi: EdgeSet
+    Xi: Digraph
 
 
 def pointed_view(g: Game, base: int = 0) -> PointedGame:
@@ -259,15 +260,9 @@ def pointed_view(g: Game, base: int = 0) -> PointedGame:
     i_plus = g.in_set(base)
     tp, pidx = restrict(g, i_plus)
     tm, midx = restrict(g, i_minus)
-    plus_set, minus_set = set(i_plus), set(i_minus)
-    xi = EdgeSet(
-        g.p,
-        [
-            (a, b)
-            for (a, b) in g.edges()
-            if (a in plus_set and b in minus_set) or (a in minus_set and b in plus_set)
-        ],
-    )
+    plus, minus = g.in_mask(base), g.out_mask(base)
+    other_side = [minus if (plus >> a) & 1 else plus if (minus >> a) & 1 else 0 for a in range(g.p)]
+    xi = Digraph(g.p, [r & m for r, m in zip(g.rows, other_side)])
     return PointedGame(g, base, i_plus, i_minus, tp, tm, pidx, midx, xi)
 
 
@@ -325,24 +320,22 @@ def realize_pointed(gp: Tournament, gm: Tournament) -> tuple[Game, DoubleLayout]
     return g, lay
 
 
-def eulerian_to_game(d: Digraph | EdgeSet, record: Optional[list[int]] = None) -> Game:
+def eulerian_to_game(d: Digraph, record: Optional[list[int]] = None) -> Game:
     """A game on the same odd vertex set containing the Eulerian digraph d.
 
     Completes d to a tournament (undecided pairs i < j oriented i -> j), then
     repeatedly reverses a free path from an overweight vertex to an
-    underweight one; the deviation drops by exactly one per loop turn.
+    underweight one; the deviation drops by exactly one per loop turn, which
+    is checked on every turn.  `record`, when given, collects the deviation
+    before the first turn and after each one.
     """
-    if isinstance(d, Digraph):
-        d = EdgeSet.from_digraph(d)
     if d.p % 2 == 0:
         raise EvenSize("games need an odd vertex count")
     if not d.is_eulerian():
         raise NotEulerian("in/out degrees unbalanced")
     p = d.p
     n = (p - 1) // 2
-    rows = [0] * p
-    for (i, j) in d.edges:
-        rows[i] |= 1 << j
+    rows = list(d.rows)
     for i in range(p):
         for j in range(i + 1, p):
             if not (rows[i] >> j) & 1 and not (rows[j] >> i) & 1:
@@ -367,7 +360,7 @@ def eulerian_to_game(d: Digraph | EdgeSet, record: Optional[list[int]] = None) -
                 nxt = []
                 for v in sorted(frontier):
                     for w in _bits(g.rows[v]):
-                        if w in parent or (v, w) in d:
+                        if w in parent or d.has_edge(v, w):
                             continue
                         parent[w] = v
                         if w in under:
@@ -387,9 +380,10 @@ def eulerian_to_game(d: Digraph | EdgeSet, record: Optional[list[int]] = None) -
             raise InvariantViolation("no free over-to-under path")
         g = reverse_subgraph(g, EdgeSet(p, list(zip(path, path[1:]))))
         dev -= 1
+        got = deviation(g)
         if record is not None:
-            record.append(deviation(g))
-        if record is not None and record[-1] != dev:
+            record.append(got)
+        if got != dev:
             raise InvariantViolation("deviation did not drop by one")
     out = from_rows(p, g.rows)
     if not isinstance(out, Game) or not d.is_subgraph_of(out):
@@ -474,9 +468,7 @@ def steiner_variants(pi: Game) -> list[SteinerVariant]:
     }
     out = []
     for name, pattern in _VARIANT_PATTERNS.items():
-        dset = parts[name.split("+")[0]]
-        for extra in name.split("+")[1:]:
-            dset = dset.union(parts[extra])
+        dset = EdgeSet(g2.p, [e for part in name.split("+") for e in parts[part].edges()])
         gv = reverse_subgraph(g2, dset)
         assert isinstance(gv, Game)
         witness: list[tuple[int, int, int]] = []
@@ -558,7 +550,7 @@ def uniquely_reducible_extension(pi: Game, K: Optional[Iterable[int]] = None) ->
             raise NotApplicable("no K satisfies the unique-reducibility conditions")
     g, u, v = extend(pi, chosen)
     out = reducibility_graph(g)
-    assert len(out.edges) == 1
+    assert out.edges.edge_count() == 1
     return g, u, v
 
 
@@ -570,7 +562,7 @@ def is_double(g: Game, base: int) -> Optional[DoubleLayout]:
     followed by one exact comparison against the rebuilt double.
     """
     rep = reducibility_graph(g)
-    nxt = {i: j for (i, j) in rep.edges.edges}
+    nxt = {i: j for (i, j) in rep.edges.edges()}
     i_minus = g.out_set(base)
     i_plus = set(g.in_set(base))
     pairing = {}
@@ -606,6 +598,8 @@ class SepReport:
 def has_sep(g: Tournament, T0: Iterable[int]) -> SepReport:
     """Witness map J -> v_J (v_J beats exactly J inside T0), or the first failing J."""
     t0 = sorted(set(T0))
+    if t0 and not (0 <= t0[0] and t0[-1] < g.p):
+        raise VertexOutOfRange(f"anchor vertices must lie in 0..{g.p - 1}")
     if len(t0) > 20:
         raise TooLarge("2^|T0| subsets is past the budget")
     outside = [v for v in range(g.p) if v not in set(t0)]

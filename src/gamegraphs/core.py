@@ -1,9 +1,11 @@
-"""Core graph types: digraphs, tournaments, games, edge sets, permutations.
+"""Core graph types: digraphs, tournaments, games, permutations.
 
 Vertices are dense integers 0..p-1 and adjacency is a tuple of row bitmasks,
 so everything fits in machine words for p <= 64 (the design ceiling).  All
 values are immutable; equality of graphs is labeled (bit for bit), never up
-to isomorphism.
+to isomorphism.  Digraph is the one graph representation: difference graphs
+and edge subsets are Digraphs too, and `EdgeSet` only builds one from a list
+of edges.
 """
 
 from __future__ import annotations
@@ -94,6 +96,13 @@ class Digraph:
     def edge_count(self) -> int:
         return sum(bin(r).count("1") for r in self.rows)
 
+    def is_eulerian(self) -> bool:
+        """Every vertex has equal in- and out-degree."""
+        return all(self.out_degree(i) == self.in_degree(i) for i in range(self.p))
+
+    def is_subgraph_of(self, g: "Digraph") -> bool:
+        return self.p == g.p and all(r & ~h == 0 for r, h in zip(self.rows, g.rows))
+
     # -- dunder ------------------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -142,28 +151,19 @@ def from_rows(p: int, rows: Sequence[int]) -> Digraph:
     The rows are validated once, as a Digraph, which then takes the class
     `classify_digraph` finds and runs that class's own check.
     """
-    g = Digraph(p, rows)
-    flags = classify_digraph(g)
-    if flags.is_game:
-        g.__class__ = Game
-    elif flags.is_tournament:
-        g.__class__ = Tournament
-    g._check()
-    return g
+    return _strongest(Digraph(p, rows))
 
 
 def make_digraph(p: int, edges: Iterable[tuple[int, int]]) -> Digraph:
-    """Digraph with exactly the given edges; validates range, loops, antiparallel pairs."""
-    rows = [0] * p
-    for (i, j) in edges:
-        if not (0 <= i < p and 0 <= j < p):
-            raise VertexOutOfRange(f"edge ({i},{j}) outside 0..{p - 1}")
-        if i == j:
-            raise LoopEdge(f"loop at {i}")
-        if (rows[j] >> i) & 1:
-            raise AntiparallelPair(f"both {i}->{j} and {j}->{i}")
-        rows[i] |= 1 << j
-    return from_rows(p, rows)
+    """Strongest truthful class for exactly the given edges (validated by EdgeSet)."""
+    return _strongest(EdgeSet(p, edges))
+
+
+def _strongest(g: Digraph) -> Digraph:
+    flags = classify_digraph(g)
+    g.__class__ = Game if flags.is_game else Tournament if flags.is_tournament else Digraph
+    g._check()
+    return g
 
 
 def circulant(p: int, diffs: Iterable[int]) -> Digraph:
@@ -191,7 +191,7 @@ def classify_digraph(g: Digraph) -> DigraphFlags:
     Eulerian with an even count, and it is no game."""
     full = (1 << g.p) - 1
     tourn = all(g.rows[i] | g._cols[i] == full & ~(1 << i) for i in range(g.p))
-    eul = all(g.out_degree(i) == g.in_degree(i) for i in range(g.p))
+    eul = g.is_eulerian()
     degs = {g.out_degree(i) for i in range(g.p)}
     reg = eul and len(degs) <= 1
     return DigraphFlags(tourn, eul, tourn and eul and g.p % 2 == 1, reg)
@@ -301,86 +301,23 @@ def relabel(g: Digraph, rho: Permutation) -> Digraph:
     return from_rows(g.p, rows)
 
 
-class EdgeSet:
-    """Explicit set of directed edges on 0..p-1; no loops, no antiparallel pair.
+class EdgeSet(Digraph):
+    """A Digraph built from a list of directed edges on 0..p-1; beyond the
+    range of each pair, validation is the Digraph's."""
 
-    Used for difference graphs and for decomposition inputs.  Disjoint edge
-    sets may share vertices.
-    """
-
-    __slots__ = ("p", "edges")
+    __slots__ = ()
 
     def __init__(self, p: int, edges: Iterable[tuple[int, int]]):
-        es = frozenset((int(i), int(j)) for (i, j) in edges)
-        for (i, j) in es:
+        rows = [0] * p
+        for (i, j) in edges:
             if not (0 <= i < p and 0 <= j < p):
                 raise VertexOutOfRange(f"edge ({i},{j}) outside 0..{p - 1}")
-            if i == j:
-                raise LoopEdge(f"loop at {i}")
-            if (j, i) in es:
-                raise AntiparallelPair(f"both {i}->{j} and {j}->{i}")
-        self.p = p
-        self.edges = es
+            rows[i] |= 1 << j
+        super().__init__(p, rows)
 
     @staticmethod
     def from_digraph(g: Digraph) -> "EdgeSet":
         return EdgeSet(g.p, g.edges())
-
-    def to_digraph(self) -> Digraph:
-        return make_digraph(self.p, self.edges)
-
-    def __len__(self) -> int:
-        return len(self.edges)
-
-    def __contains__(self, e: tuple[int, int]) -> bool:
-        return e in self.edges
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(sorted(self.edges))
-
-    def reverse(self) -> "EdgeSet":
-        return EdgeSet(self.p, ((j, i) for (i, j) in self.edges))
-
-    def union(self, other: "EdgeSet") -> "EdgeSet":
-        if other.p != self.p:
-            raise VertexOutOfRange("edge sets on different vertex counts")
-        return EdgeSet(self.p, self.edges | other.edges)
-
-    def difference(self, other: "EdgeSet") -> "EdgeSet":
-        return EdgeSet(self.p, self.edges - other.edges)
-
-    def is_subgraph_of(self, g: Digraph) -> bool:
-        return all(g.has_edge(i, j) for (i, j) in self.edges)
-
-    def out_degree(self, v: int) -> int:
-        return sum(1 for (i, _) in self.edges if i == v)
-
-    def in_degree(self, v: int) -> int:
-        return sum(1 for (_, j) in self.edges if j == v)
-
-    def is_eulerian(self) -> bool:
-        bal = [0] * self.p
-        for (i, j) in self.edges:
-            bal[i] += 1
-            bal[j] -= 1
-        return all(b == 0 for b in bal)
-
-    def vertices(self) -> tuple[int, ...]:
-        """Vertices with at least one incident edge."""
-        vs = set()
-        for (i, j) in self.edges:
-            vs.add(i)
-            vs.add(j)
-        return tuple(sorted(vs))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, EdgeSet) and self.p == other.p and self.edges == other.edges
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.edges))
-
-    def __repr__(self) -> str:
-        return f"EdgeSet(p={self.p}, edges={sorted(self.edges)})"
 
 
 # -- text format -------------------------------------------------------------

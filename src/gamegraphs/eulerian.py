@@ -2,7 +2,8 @@
 
 Central quantities: the span (maximum number of edge-disjoint cycles whose
 union is the graph) and the balance invariant beta = edges - 2*span, which
-is also the minimum 3-cycle reversal distance between tournaments.
+is also the minimum 3-cycle reversal distance between tournaments.  Every
+function takes a Digraph and reads its row masks or its sorted edge list.
 """
 
 from __future__ import annotations
@@ -11,9 +12,9 @@ from collections import defaultdict
 from dataclasses import dataclass
 from itertools import groupby
 from math import comb
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
-from .core import Digraph, EdgeSet, Game, Tournament, _bits, scores
+from .core import Digraph, Game, Tournament, _bits, scores
 from .errors import (
     BadLength,
     BudgetExceeded,
@@ -23,23 +24,6 @@ from .errors import (
     NotStrong,
     TooLarge,
 )
-
-GraphLike = Union[Digraph, EdgeSet]
-
-
-def _edge_list(d: GraphLike) -> tuple[int, list[tuple[int, int]]]:
-    if isinstance(d, Digraph):
-        return d.p, sorted(d.edges())
-    return d.p, sorted(d.edges)
-
-
-def _is_eulerian(p: int, edges: Iterable[tuple[int, int]]) -> bool:
-    bal = [0] * p
-    for (i, j) in edges:
-        bal[i] += 1
-        bal[j] -= 1
-    return all(b == 0 for b in bal)
-
 
 def normalize_cycle(cycle: Iterable[int]) -> tuple[int, ...]:
     """Rotate so the least vertex comes first (orientation is preserved)."""
@@ -53,21 +37,20 @@ def cycle_edges(cycle: Iterable[int]) -> list[tuple[int, int]]:
     return [(c[i], c[(i + 1) % len(c)]) for i in range(len(c))]
 
 
-def cycle_decomposition(d: GraphLike, must_be_eulerian: bool = True) -> list[tuple[int, ...]]:
+def cycle_decomposition(d: Digraph) -> list[tuple[int, ...]]:
     """Greedy decomposition into edge-disjoint cycles covering d exactly.
 
     Deterministic: peel the cycle through the least remaining edge found by
     a least-successor-first depth-first search.  Not necessarily a maximum
     decomposition.
     """
-    p, edges = _edge_list(d)
-    if must_be_eulerian and not _is_eulerian(p, edges):
+    if not d.is_eulerian():
         raise NotEulerian("in/out degrees unbalanced")
-    remaining = set(edges)
+    remaining = set(d.edges())
     out = []
     while remaining:
         (u, v) = min(remaining)
-        path = _simple_path(p, remaining, v, u)
+        path = _simple_path(d.p, remaining, v, u)
         if path is None:
             raise NotEulerian("edge lies on no cycle")  # cannot happen when Eulerian
         cyc = (u,) + tuple(path[:-1])
@@ -105,12 +88,12 @@ def _simple_path(p: int, edges: set[tuple[int, int]], src: int, dst: int) -> Opt
     return dfs(src, {src}, [src])
 
 
-def euler_trail(d: GraphLike) -> list[int]:
+def euler_trail(d: Digraph) -> list[int]:
     """Closed edge-simple trail covering every edge once (Hierholzer, least successor first)."""
-    p, edges = _edge_list(d)
+    p, edges = d.p, d.edges()
     if not edges:
         raise NotEulerian("empty edge set has no trail")
-    if not _is_eulerian(p, edges):
+    if not d.is_eulerian():
         raise NotEulerian("in/out degrees unbalanced")
     # weak connectivity over vertices with incident edges
     parent = list(range(p))
@@ -192,7 +175,7 @@ def _all_cycles(
     return cycles
 
 
-def span(d: GraphLike, node_budget: int = 50_000_000, cycle_budget: int = 2_000_000) -> DecompReport:
+def span(d: Digraph, node_budget: int = 50_000_000, cycle_budget: int = 2_000_000) -> DecompReport:
     """Exact maximum decomposition by branch and bound.
 
     The search starts from the 3-cycle-first greedy decomposition of
@@ -220,8 +203,8 @@ def span(d: GraphLike, node_budget: int = 50_000_000, cycle_budget: int = 2_000_
     ne, best = lower.edge_count, lower.span
     if ne == 0:
         return lower
-    p, edges = _edge_list(d)
-    cycles = _all_cycles(p, edges, cycle_budget, max(3, ne - 3 * best))
+    edges = d.edges()
+    cycles = _all_cycles(d.p, edges, cycle_budget, max(3, ne - 3 * best))
     through: list[list[tuple[int, int, int]]] = [[] for _ in range(ne)]
     for ci, (length, _, mask) in enumerate(cycles):
         through[(mask & -mask).bit_length() - 1].append((length, mask, ci))
@@ -276,7 +259,7 @@ def span(d: GraphLike, node_budget: int = 50_000_000, cycle_budget: int = 2_000_
     return DecompReport(ne, best, ne - 2 * best, witness)
 
 
-def span_lower_bound(d: GraphLike) -> DecompReport:
+def span_lower_bound(d: Digraph) -> DecompReport:
     """Bound-only mode: the 3-cycle-first greedy decomposition that `span`
     starts from.
 
@@ -287,14 +270,11 @@ def span_lower_bound(d: GraphLike) -> DecompReport:
     lower bound on the span, never below ceil(edges / vertices) since no
     cycle is longer than the vertex count; balance here is an upper bound.
     """
-    p, edges = _edge_list(d)
-    if not _is_eulerian(p, edges):
+    if not d.is_eulerian():
         raise NotEulerian("span needs balanced in/out degrees")
-    out_rows = [0] * p
-    in_rows = [0] * p
-    for (i, j) in edges:
-        out_rows[i] |= 1 << j
-        in_rows[j] |= 1 << i
+    out_rows = list(d.rows)
+    in_rows = list(d._cols)
+    edges = d.edges()
     greedy: list[tuple[int, ...]] = []
     for (u, v) in edges:
         if not (out_rows[u] >> v) & 1:
@@ -307,14 +287,13 @@ def span_lower_bound(d: GraphLike) -> DecompReport:
             out_rows[a] &= ~(1 << b)
             in_rows[b] &= ~(1 << a)
         greedy.append(normalize_cycle((u, v, w)))
-    rest = [(i, j) for i in range(p) for j in _bits(out_rows[i])]
-    if rest:
-        greedy += cycle_decomposition(EdgeSet(p, rest))
+    if any(out_rows):
+        greedy += cycle_decomposition(Digraph(d.p, out_rows))
     ne, lb = len(edges), len(greedy)
     return DecompReport(ne, lb, ne - 2 * lb, tuple(greedy))
 
 
-def balance(d: GraphLike) -> int:
+def balance(d: Digraph) -> int:
     return span(d).balance
 
 
@@ -510,7 +489,7 @@ def steiner_decomposition(g: Game) -> Optional[list[tuple[int, int, int]]]:
     """
     if not isinstance(g, Game):
         raise InvariantViolation("steiner decomposition needs a game")
-    edges = sorted(g.edges())
+    edges = g.edges()
     if len(edges) % 3:
         return None
     eidx = {e: k for k, e in enumerate(edges)}

@@ -282,7 +282,10 @@ def multiplication_map(m: int, a: int) -> Permutation:
     return Permutation([(a * i) % m for i in range(m)])
 
 
-def group_automorphisms(G: FiniteGroup, brute_limit: int = 9) -> GroupAutSet:
+_BRUTE_LIMIT = 9  # largest non-cyclic table brute-forced for automorphisms
+
+
+def group_automorphisms(G: FiniteGroup) -> GroupAutSet:
     """All Cayley-table-preserving bijections.
 
     Standard cyclic tables get the analytic answer (multiplication by each
@@ -294,8 +297,8 @@ def group_automorphisms(G: FiniteGroup, brute_limit: int = 9) -> GroupAutSet:
             Permutation.identity(1)
         ]
         return GroupAutSet(tuple(sorted(perms, key=lambda q: q.image)))
-    if G.m > brute_limit:
-        raise TooLarge(f"generic automorphism search capped at order {brute_limit}")
+    if G.m > _BRUTE_LIMIT:
+        raise TooLarge(f"generic automorphism search capped at order {_BRUTE_LIMIT}")
     out = []
     for img in iter_permutations(range(1, G.m)):
         xi = Permutation((0,) + img)
@@ -403,6 +406,8 @@ class DoubleCosetPartition:
 
 def _check_subgroup(G: FiniteGroup, H: Iterable[int]) -> tuple[int, ...]:
     hs = tuple(sorted(set(H)))
+    if hs and not (0 <= hs[0] and hs[-1] < G.m):
+        raise NotSubgroup(f"{list(hs)} names elements outside 0..{G.m - 1}")
     if not G.is_subgroup(hs):
         raise NotSubgroup(f"{list(hs)} is not closed or misses the identity")
     return hs

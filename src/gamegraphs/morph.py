@@ -217,18 +217,21 @@ def _canon_search(g: Digraph, node_budget: int) -> _Search:
     return _Search(best_val, Permutation(best_leaf), tuple(gens), nodes)
 
 
-def canonical_form(g: Digraph, node_budget: int = 2_000_000) -> CanonicalForm:
+_CANON_NODES = 2_000_000  # search nodes before TooLarge, for every public search
+
+
+def canonical_form(g: Digraph) -> CanonicalForm:
     """Canonical form; two digraphs are isomorphic iff their forms have equal bits."""
-    s = _canon_search(g, node_budget)
+    s = _canon_search(g, _CANON_NODES)
     return CanonicalForm(g.p, s.value, s.leaf)
 
 
-def are_isomorphic(a: Digraph, b: Digraph, node_budget: int = 2_000_000) -> Optional[Permutation]:
+def are_isomorphic(a: Digraph, b: Digraph) -> Optional[Permutation]:
     """A relabeling witness taking a to b exactly, or None."""
     if a.p != b.p:
         return None
-    ca = canonical_form(a, node_budget)
-    cb = canonical_form(b, node_budget)
+    ca = canonical_form(a)
+    cb = canonical_form(b)
     if ca.bits != cb.bits:
         return None
     rho = cb.witness.inverse().compose(ca.witness)
@@ -237,14 +240,14 @@ def are_isomorphic(a: Digraph, b: Digraph, node_budget: int = 2_000_000) -> Opti
     return rho
 
 
-def automorphisms(g: Digraph, node_budget: int = 2_000_000) -> AutGroup:
+def automorphisms(g: Digraph) -> AutGroup:
     """The full automorphism group, sorted by image.
 
     The canonical search returns generators (one per pair of equal leaves
     it met); the group is their closure, built breadth first by composing
     each element found with each generator.
     """
-    gens = _canon_search(g, node_budget).generators
+    gens = _canon_search(g, _CANON_NODES).generators
     ident = tuple(range(g.p))
     group = {ident}
     frontier = [ident]
@@ -394,8 +397,10 @@ class ProductLawReport:
     ok: bool
 
 
-def aut_product_law_check(gamma: Tournament, pi: Tournament,
-                          exhaustive_limit: int = 11) -> ProductLawReport:
+_EXHAUSTIVE_PRODUCT = 11  # largest product whose Aut is searched outright
+
+
+def aut_product_law_check(gamma: Tournament, pi: Tournament) -> ProductLawReport:
     """|Aut(gamma lex pi)| against |Aut(gamma)| * |Aut(pi)|^|gamma|.
 
     Small products are checked exhaustively; larger ones in formula mode,
@@ -408,7 +413,7 @@ def aut_product_law_check(gamma: Tournament, pi: Tournament,
     ag = automorphisms(gamma)
     ap = automorphisms(pi)
     formula = ag.order * ap.order ** gamma.p
-    if prod.p <= exhaustive_limit:
+    if prod.p <= _EXHAUSTIVE_PRODUCT:
         computed = automorphisms(prod).order
         return ProductLawReport(formula, computed, None, computed == formula)
     q = pi.p

@@ -1,8 +1,9 @@
 """Difference graphs and 3-cycle reversal planning.
 
 Delta(rho, Pi, Gamma) collects the edges of Pi that rho reverses relative to
-Gamma; reversing Delta in Pi recovers Gamma.  Between same-score tournaments
-the minimum number of single-3-cycle reversal steps is the balance invariant
+Gamma, as a Digraph built row by row; reversing Delta in Pi, a flip of row
+masks, recovers Gamma.  Between same-score tournaments the minimum number of
+single-3-cycle reversal steps is the balance invariant
 beta(Delta) = |Delta| - 2 span(Delta).  Every plan reverses edge-disjoint
 cycles of Delta one at a time, a length-l cycle in l - 2 moves, so the plans
 differ only in the decomposition: greedy for `plan_any`, and for
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import Digraph, EdgeSet, Permutation, Tournament, from_rows
+from .core import Digraph, Permutation, Tournament, _bits, from_rows
 from .errors import (
     InvariantViolation,
     NotACycle,
@@ -29,32 +30,26 @@ from .errors import (
 from .eulerian import cycle_decomposition, span
 
 
-def delta(rho: Permutation, pi: Tournament, gamma: Tournament) -> EdgeSet:
+def delta(rho: Permutation, pi: Tournament, gamma: Tournament) -> Digraph:
     """Edges of pi that rho sends to reversed edges of gamma."""
     if pi.p != gamma.p or len(rho) != pi.p:
         raise SizeMismatch("graphs and permutation must share one vertex count")
-    return EdgeSet(
-        pi.p,
-        [(i, j) for (i, j) in pi.edges() if gamma.has_edge(rho(j), rho(i))],
-    )
+    rows = [sum(1 << j for j in _bits(r) if gamma.has_edge(rho(j), rho(i))) for i, r in enumerate(pi.rows)]
+    return Digraph(pi.p, rows)
 
 
-def delta_id(pi: Tournament, gamma: Tournament) -> EdgeSet:
+def delta_id(pi: Tournament, gamma: Tournament) -> Digraph:
     """Delta(Pi, Gamma): the identity-permutation case."""
     return delta(Permutation.identity(pi.p), pi, gamma)
 
 
-def reverse_subgraph(pi: Digraph, d: EdgeSet) -> Digraph:
+def reverse_subgraph(pi: Digraph, d: Digraph) -> Digraph:
     """Pi with d reversed: (Pi minus d) plus d^-1.  Scores survive iff d is Eulerian."""
     if d.p != pi.p:
         raise SizeMismatch("edge set on a different vertex count")
     if not d.is_subgraph_of(pi):
         raise NotSubgraph("edge set is not contained in the graph")
-    rows = list(pi.rows)
-    for (i, j) in d.edges:
-        rows[i] &= ~(1 << j)
-        rows[j] |= 1 << i
-    return from_rows(pi.p, rows)
+    return from_rows(pi.p, [(r & ~dr) | dc for r, dr, dc in zip(pi.rows, d.rows, d._cols)])
 
 
 # -- plans ---------------------------------------------------------------------
@@ -150,7 +145,7 @@ def _plan_cycles(pi: Digraph, gamma: Digraph, cycles: Iterable[tuple[int, ...]],
     return ReversalPlan(tuple(moves))
 
 
-def _score_preserving_delta(pi: Tournament, gamma: Tournament) -> EdgeSet:
+def _score_preserving_delta(pi: Tournament, gamma: Tournament) -> Digraph:
     if pi.p != gamma.p:
         raise SizeMismatch("tournaments on different vertex counts")
     d = delta_id(pi, gamma)
@@ -185,7 +180,7 @@ def parity(pi: Tournament, gamma: Tournament) -> str:
     """Shared parity of |Delta|, beta(Delta) and every plan length."""
     if pi.p != gamma.p:
         raise SizeMismatch("tournaments on different vertex counts")
-    return "even" if len(delta_id(pi, gamma)) % 2 == 0 else "odd"
+    return "even" if delta_id(pi, gamma).edge_count() % 2 == 0 else "odd"
 
 
 # -- bipartite tournaments ------------------------------------------------------

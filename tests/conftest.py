@@ -4,8 +4,8 @@ The oracles here deliberately avoid the library's own algorithms: spans by
 exhaustive decomposition enumeration, isomorphism by raw permutation search,
 Eulerian-subgraph counts by direct subset enumeration.  Some keep the
 methods the library replaced: the census by canonicalizing every labeled
-game, the meet-in-the-middle Eulerian-subgraph count, and the parity split
-by enumeration.  Others keep the plain forms of searches the library now
+game, the meet-in-the-middle Eulerian-subgraph count, the parity split by
+enumeration, and the difference graph and subgraph reversal edge by edge.  Others keep the plain forms of searches the library now
 prunes or speeds up: the canonical refinement tree, whole or orbit-pruned,
 over the plain refinement step (every signature rebuilt from the bitmasks
 each round, in-colors always included) and the plain leaf value (all p^2
@@ -35,7 +35,6 @@ from gamegraphs.core import (
 from gamegraphs.eulerian import (
     DecompReport,
     _all_cycles,
-    _edge_list,
     normalize_cycle,
     span,
     span_lower_bound,
@@ -43,6 +42,7 @@ from gamegraphs.eulerian import (
 )
 from gamegraphs.morph import automorphisms, canon_hex, canonical_form
 from gamegraphs.reversal import delta_id
+from gamegraphs.errors import NotSubgraph
 
 
 @pytest.fixture(scope="session")
@@ -180,7 +180,7 @@ def oracle_iso(a: Digraph, b: Digraph):
 
 def oracle_span(d: EdgeSet) -> int:
     """Exhaustive maximum over all decompositions; viable up to ~14 edges."""
-    edges = sorted(d.edges)
+    edges = sorted(d.edges())
 
     def all_cycles_through(first, remaining):
         (u, v) = first
@@ -218,7 +218,7 @@ def oracle_span_search(d) -> DecompReport:
     ne, best = lower.edge_count, lower.span
     if ne == 0:
         return lower
-    p, edges = _edge_list(d)
+    p, edges = d.p, d.edges()
     cycles = _all_cycles(p, edges, 2_000_000, max(3, ne - 3 * best))
     through = [[] for _ in range(ne)]
     for ci, (length, _, mask) in enumerate(cycles):
@@ -259,6 +259,23 @@ def oracle_span_search(d) -> DecompReport:
     else:
         witness = tuple(normalize_cycle(cycles[ci][1]) for ci in best_stack)
     return DecompReport(ne, best, ne - 2 * best, witness)
+
+
+def oracle_delta(rho, pi: Digraph, gamma: Digraph) -> EdgeSet:
+    """Delta pair by pair: the edges of pi that rho sends to reversed edges
+    of gamma."""
+    return EdgeSet(pi.p, [(i, j) for (i, j) in pi.edges() if gamma.has_edge(rho(j), rho(i))])
+
+
+def oracle_reverse_subgraph(pi: Digraph, d: Digraph) -> Digraph:
+    """pi with d reversed, one edge at a time."""
+    rows = list(pi.rows)
+    for (i, j) in d.edges():
+        if not pi.has_edge(i, j):
+            raise NotSubgraph(f"edge {i}->{j} is not in the graph")
+        rows[i] &= ~(1 << j)
+        rows[j] |= 1 << i
+    return from_rows(pi.p, rows)
 
 
 def oracle_eulerian_count(g: Digraph) -> int:

@@ -159,11 +159,11 @@ def test_criterion_04_balance_landmarks(chorded_nine_ring, census7):
     t0 = time.time()
     for n in (1, 2, 3, 4):
         g = circulant(2 * n + 1, range(1, n + 1))
-        assert span(EdgeSet.from_digraph(g)).balance == n * n
+        assert span(g).balance == n * n
     for cls in census7.classes:
         g = cls.representative
         if steiner_decomposition(g) is not None:
-            assert span(EdgeSet.from_digraph(g)).balance == 7
+            assert span(g).balance == 7
     rep = span(chorded_nine_ring)
     assert rep.span == 3 and rep.balance == 6
     elapsed = time.time() - t0
@@ -187,7 +187,7 @@ def test_criterion_05_planner_optimality():
             bfs_d = dists5[ia][graph5.index[b.rows]]
             assert len(plan) == beta == bfs_d
             assert apply_plan(a, plan) == b
-            assert len(plan) % 2 == len(delta_id(a, b)) % 2
+            assert len(plan) % 2 == delta_id(a, b).edge_count() % 2
             pairs_checked += 1
     assert pairs_checked == 552
     rng = random.Random(103)
@@ -198,7 +198,7 @@ def test_criterion_05_planner_optimality():
         beta = span(delta_id(a, b)).balance
         assert len(plan) == beta == interchange_distance(a, b)
         assert apply_plan(a, plan) == b
-        assert len(plan) % 2 == len(delta_id(a, b)) % 2
+        assert len(plan) % 2 == delta_id(a, b).edge_count() % 2
     report(5, "552 size-5 pairs exhaustive + 100 random size-7 pairs: plan = beta = BFS", t0)
 
 
@@ -356,7 +356,7 @@ def test_criterion_11_interchange_analytics(census7):
         class_beta = {}
         for cls in atl.classes:
             g = cls.representative
-            beta = span(EdgeSet.from_digraph(g)).balance
+            beta = span(g).balance
             d = graph.bfs(graph.index[g.rows])[graph.index[reverse(g).rows]]
             assert d == beta
             class_beta[cls.canon_hex] = beta
@@ -365,7 +365,7 @@ def test_criterion_11_interchange_analytics(census7):
         sample = nodes if p == 5 else rng.sample(nodes, 50)
         for g in sample:
             d = graph.bfs(graph.index[g.rows])[graph.index[reverse(g).rows]]
-            assert d == span(EdgeSet.from_digraph(g)).balance
+            assert d == span(g).balance
         # geodesic counts on 25 sampled pairs
         for _ in range(25):
             a, b = rng.choice(nodes), rng.choice(nodes)

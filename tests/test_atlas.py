@@ -248,6 +248,17 @@ class TestDiameter:
         rep = diameter(5)
         assert rep.value == 4 and rep.conjectured == 4
 
+    @pytest.mark.parametrize("p, value, near, far", [
+        (3, 1, (2, 4, 1), (4, 1, 2)),
+        (5, 4, (6, 12, 24, 17, 3), (24, 17, 3, 6, 12)),
+        (7, 9, (14, 28, 56, 112, 97, 67, 7), (112, 97, 67, 7, 14, 28, 56)),
+    ])
+    def test_value_and_witness_pinned(self, p, value, near, far):
+        # a tie between farthest games goes to the greatest row tuple
+        rep = diameter(p)
+        assert rep.value == value
+        assert (rep.witness[0].rows, rep.witness[1].rows) == (near, far)
+
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             diameter(9)

@@ -266,6 +266,22 @@ class TestExitCodes:
         code, _, err = run(capsys, "iso", "classify7", str(src))
         assert code == 1 and err.startswith("BadSize")
 
+    @pytest.mark.parametrize("argv, error", [
+        (["groups", "quotient", "--cyclic", "9", "--subgroup", "0,3,6,9", "--subset", "1"], "NotSubgroup"),
+        (["groups", "pair-subsets", "--cyclic", "9", "--subgroup", "0,12"], "NotSubgroup"),
+        (["groups", "subsets", "--cyclic", "9,3"], "UsageError"),
+        (["groups", "subsets", "--product", "3"], "UsageError"),
+        (["groups", "subsets", "--semidirect", "3,7"], "UsageError"),
+        (["analyze", "sep", "GAME", "--t0", "0,99"], "VertexOutOfRange"),
+        (["analyze", "sep", "GAME", "--t0", "-1"], "VertexOutOfRange"),
+    ])
+    def test_bad_arguments_are_domain_errors(self, tmp_path, capsys, c3, argv, error):
+        src = tmp_path / "c3.game"
+        src.write_text(serialize(c3))
+        code, stdout, err = run(capsys, *[str(src) if a == "GAME" else a for a in argv])
+        assert code == 1 and stdout == ""
+        assert err.startswith(error + ": ") and "Traceback" not in err
+
     def test_determinism(self, capsys):
         _, out1, _ = run(capsys, "atlas", "census", "5")
         _, out2, _ = run(capsys, "atlas", "census", "5")

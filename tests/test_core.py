@@ -108,7 +108,7 @@ class TestReverse:
     def test_class_preserved(self, g5, straddle, chorded_nine_ring):
         assert isinstance(reverse(g5), Game)
         assert isinstance(reverse(straddle), Tournament)
-        d = reverse(chorded_nine_ring.to_digraph())
+        d = reverse(make_digraph(chorded_nine_ring.p, chorded_nine_ring.edges()))
         assert classify_digraph(d).is_eulerian
 
 
@@ -231,9 +231,28 @@ class TestEdgeSet:
     def test_disjoint_edge_sets_may_share_vertices(self):
         a = EdgeSet(5, [(0, 1), (1, 2), (2, 0)])
         b = EdgeSet(5, [(2, 3), (3, 4), (4, 2)])
-        assert not (a.edges & b.edges)
-        assert set(a.vertices()) & set(b.vertices())
-        assert a.union(b).is_eulerian()
+        assert not (set(a.edges()) & set(b.edges()))
+        assert {v for e in a.edges() for v in e} & {v for e in b.edges() for v in e}
+        assert EdgeSet(5, a.edges() + b.edges()).is_eulerian()
+
+    @pytest.mark.parametrize("pairs, error", [
+        ([(0, 1), (2, 2)], LoopEdge),
+        ([(0, 1), (1, 2), (1, 0)], AntiparallelPair),
+        ([(0, 3)], VertexOutOfRange),
+        ([(3, 0)], VertexOutOfRange),
+        ([(-1, 0)], VertexOutOfRange),
+        ([(0, -1)], VertexOutOfRange),
+    ])
+    def test_same_error_class_as_make_digraph(self, pairs, error):
+        with pytest.raises(error):
+            EdgeSet(3, pairs)
+        with pytest.raises(error):
+            make_digraph(3, pairs)
+
+    def test_equals_the_digraph_with_its_rows(self, g5):
+        d = EdgeSet(5, g5.edges())
+        assert d == g5 and hash(d) == hash(g5)
+        assert repr(EdgeSet(3, [(1, 2), (0, 1)])) == "EdgeSet(p=3, edges=[(0, 1), (1, 2)])"
 
 
 @given(st.integers(1, 8), st.randoms(use_true_random=False))
