@@ -3,41 +3,67 @@
 Every command is a pure function from input files and flags to output files
 and an exit code: 0 on success, 1 on a domain error (error class name on
 stderr), 2 on usage errors.  Identical inputs give byte-identical outputs.
+
+Each sub-verb is declared once, as a row of the table `COMMANDS` that names
+its arguments and its handler.  A handler reads its own inputs through
+`_graph`, `_tournament` or `_game` and returns its output text, which `main`
+writes to stdout or to `-o`.  `build_parser` builds every sub-parser from the
+table, once per process.  A new verb needs one row in the table and one
+pinned case in tests/test_cli_pinned.py.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
+from collections import Counter
+from dataclasses import asdict
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
-from . import atlas as atlas_mod
-from . import construct, eulerian, groups, morph, reversal
+from . import atlas, construct, eulerian, groups, morph, reversal
 from .core import (
     Digraph,
     Game,
     Tournament,
     circulant,
     classify_digraph,
+    from_rows,
     parse,
     scores,
     serialize,
 )
-from .errors import DomainError, SizeMismatch, UsageError
+from .errors import DomainError, ParseError, SizeMismatch, UsageError
 
 
-def _read_graph(path: str) -> Digraph:
-    return parse(Path(path).read_text())
+def _read(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError:
+        raise ParseError(f"{path} is not UTF-8 text")
 
 
-def _emit(text: str, out: Optional[str]) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}")
+
+
+def _graph(path: str, kind: type = Digraph) -> Digraph:
+    g = parse(_read(path))
+    if not isinstance(g, kind):
+        raise UsageError(f"input must be a {kind.__name__.lower()}")
+    return g
+
+
+_tournament = functools.partial(_graph, kind=Tournament)
+_game = functools.partial(_graph, kind=Game)
 
 
 def _ints(s: str) -> list[int]:
@@ -59,7 +85,15 @@ def _json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _group_from_args(args) -> groups.FiniteGroup:
+def _words(xs: Iterable, sep: str = " ") -> str:
+    return sep.join(str(x) for x in xs)
+
+
+def _lines(xs: Iterable[str]) -> str:
+    return "".join(x + "\n" for x in xs)
+
+
+def _group(args) -> groups.FiniteGroup:
     picked = [x for x in (args.cyclic, args.product, args.semidirect, args.group_file) if x]
     if len(picked) != 1:
         raise UsageError("pick exactly one of --cyclic/--product/--semidirect/--group-file")
@@ -72,432 +106,306 @@ def _group_from_args(args) -> groups.FiniteGroup:
     if args.semidirect:
         q, p, a = _arity(_ints(args.semidirect), 3, "--semidirect q,p,a")
         return groups.semidirect_cyclic(q, p, a)
-    return groups.parse_group(Path(args.group_file).read_text())
+    return groups.parse_group(_read(args.group_file))
 
 
-def _add_group_args(sp) -> None:
-    sp.add_argument("--cyclic", help="cyclic group Z_m")
-    sp.add_argument("--product", help="direct product Z_m1 x Z_m2, as m1,m2")
-    sp.add_argument("--semidirect", help="semidirect Z_q acting on Z_p by a, as q,p,a")
-    sp.add_argument("--group-file", help="Cayley table file")
+def _group_game(A: groups.GameSubset) -> str:
+    return serialize(groups.group_game(A.group, A))
 
 
-# -- command handlers -----------------------------------------------------------
+# -- handlers too long for a table row; each returns its output text ------------
 
 
-def _cmd_gen(args) -> int:
-    if args.sub == "double":
-        g, _ = construct.double(_require_tournament(_read_graph(args.input)))
-        _emit(serialize(g), args.output)
-    elif args.sub == "lex":
-        g = construct.lex_product(_read_graph(args.a), _read_graph(args.b))
-        _emit(serialize(g), args.output)
-    elif args.sub == "extend":
-        g, _, _ = construct.extend(_require_game(_read_graph(args.input)), _ints(args.k))
-        _emit(serialize(g), args.output)
-    elif args.sub == "group":
-        G = _group_from_args(args)
-        A = groups.GameSubset(G, _ints(args.subset))
-        _emit(serialize(groups.group_game(G, A)), args.output)
-    elif args.sub == "qr":
-        A = groups.quadratic_residue_subset(args.prime)
-        _emit(serialize(groups.group_game(A.group, A)), args.output)
-    elif args.sub == "realize":
-        g, _ = construct.realize_pointed(
-            _require_tournament(_read_graph(args.plus)),
-            _require_tournament(_read_graph(args.minus)),
-        )
-        _emit(serialize(g), args.output)
-    elif args.sub == "complete":
-        g = construct.eulerian_to_game(_read_graph(args.input))
-        _emit(serialize(g), args.output)
-    elif args.sub == "saturate":
-        g, _ = construct.saturate(_require_tournament(_read_graph(args.input)))
-        _emit(serialize(g), args.output)
-    elif args.sub == "random":
-        rng = random.Random(args.seed)
-        if args.size % 2 == 0:
-            raise SizeMismatch("games have odd size")
-        g = circulant(args.size, range(1, (args.size - 1) // 2 + 1))
-        for _ in range(args.steps):
-            tris = eulerian.three_cycles(g)
-            if not tris:
-                break  # the 1-vertex game has no 3-cycle to reverse
-            a, b, c = tris[rng.randrange(len(tris))]
-            g = reversal.apply_plan(g, reversal.ReversalPlan(((a, b, c),)))
-        _emit(serialize(g), args.output)
-    return 0
+def _gen_realize(args) -> str:
+    g, _ = construct.realize_pointed(_tournament(args.plus), _tournament(args.minus))
+    return serialize(g)
 
 
-def _require_game(g: Digraph) -> Game:
-    if not isinstance(g, Game):
-        raise UsageError("input must be a game")
-    return g
+def _gen_random(args) -> str:
+    """A seeded walk of 3-cycle reversals from the circulant, flipped on a
+    row list and validated once at the end."""
+    rng = random.Random(args.seed)
+    p = args.size
+    if p % 2 == 0:
+        raise SizeMismatch("games have odd size")
+    rows = list(circulant(p, range(1, (p - 1) // 2 + 1)).rows)
+    full = (1 << p) - 1
+    for _ in range(args.steps):
+        # a game is a tournament: a vertex's in-neighbors complement its out-neighbors
+        cols = [full ^ r ^ (1 << i) for i, r in enumerate(rows)]
+        tris = eulerian._three_cycles(rows, cols)
+        if not tris:
+            break  # the 1-vertex game has no 3-cycle to reverse
+        reversal._reverse_cycle(rows, tris[rng.randrange(len(tris))])
+    return serialize(from_rows(p, rows))
 
 
-def _require_tournament(g: Digraph) -> Tournament:
-    if not isinstance(g, Tournament):
-        raise UsageError("input must be a tournament")
-    return g
+def _analyze_steiner(args) -> str:
+    triples = eulerian.steiner_decomposition(_game(args.input))
+    if triples is None:
+        return "not steiner\n"
+    return _lines("c " + _words(t) for t in triples)
 
 
-def _cmd_analyze(args) -> int:
-    g = _read_graph(args.input)
-    if args.sub == "scores":
-        _emit(" ".join(str(s) for s in scores(g)) + "\n", args.output)
-    elif args.sub == "classify":
-        f = classify_digraph(g)
-        _emit(
-            _json(
+def _analyze_reducibility(args) -> str:
+    rep = construct.reducibility_graph(_game(args.input))
+    return _lines([f"kind={rep.kind}"] + ["path " + _words(comp) for comp in rep.components])
+
+
+def _analyze_span(args) -> str:
+    g = _graph(args.input)
+    rep = eulerian.span_lower_bound(g) if args.bound_only else eulerian.span(g)
+    return eulerian.format_decomposition(rep)
+
+
+def _analyze_sep(args) -> str:
+    rep = construct.has_sep(_tournament(args.input), _ints(args.t0))
+    if not rep.ok:
+        return "fail J={" + _words(sorted(rep.failing or ()), ",") + "}\n"
+    witnessed = sorted(rep.witness, key=lambda s: (len(s), sorted(s)))
+    return _lines(["ok"] + ["J={" + _words(sorted(J), ",") + "} v=" + str(rep.witness[J]) for J in witnessed])
+
+
+def _plan_any(args) -> str:
+    return reversal.format_plan(reversal.plan_any(_tournament(args.a), _tournament(args.b)))
+
+
+def _plan_optimal(args) -> str:
+    return reversal.format_plan(reversal.plan_optimal(_tournament(args.a), _tournament(args.b)))
+
+
+def _plan_bipartite(args) -> str:
+    a, b, J = _graph(args.a), _graph(args.b), _ints(args.j)
+    K = [v for v in range(a.p) if v not in set(J)]
+    return reversal.format_plan(reversal.bipartite_plan(a, b, J, K))
+
+
+def _plan_apply(args) -> str:
+    g = _graph(args.input)
+    return serialize(reversal.apply_plan(g, reversal.parse_plan(_read(args.plan))))
+
+
+def _iso_aut(args) -> str:
+    ag = morph.automorphisms(_graph(args.input))
+    return _lines([f"order {ag.order}"] + [_words(perm.image) for perm in ag])
+
+
+def _iso_test(args) -> str:
+    w = morph.are_isomorphic(_graph(args.a), _graph(args.b))
+    return "non-isomorphic\n" if w is None else "isomorphic " + _words(w.image) + "\n"
+
+
+def _groups_pair_subsets(args) -> str:
+    G = _group(args)
+    return "".join(map(groups.serialize_subset, groups.pair_game_subsets(G, _ints(args.subgroup))))
+
+
+def _groups_quotient(args) -> str:
+    A = groups.GameSubset(_group(args), _ints(args.subset))
+    q, _, _ = groups.quotient_game(A.group, _ints(args.subgroup), A)
+    return serialize(q)
+
+
+def _groups_factorize(args) -> str:
+    A = groups.GameSubset(_group(args), _ints(args.subset))
+    w = groups.lex_factorization_check(A.group, _ints(args.subgroup), A)
+    return "witness " + _words(w.image) + "\n"
+
+
+def _groups_explore_aut(args) -> str:
+    # open question: does any game subset of Z_m (m a Fermat prime, e.g. 17)
+    # carry extra automorphisms beyond the m translations?
+    G = groups.cyclic_group(args.m)
+    games = (groups.group_game(G, A) for A in groups.enumerate_game_subsets(G))
+    tally = Counter(morph.automorphisms(g).order for g in games)
+    extra = sum(n for order, n in tally.items() if order != args.m)
+    lines = [f"aut_order={k} subsets={tally[k]}" for k in sorted(tally)]
+    return _lines(lines + [f"extra_automorphism_subsets={extra}"])
+
+
+def _groups_explore_iso_families(args) -> str:
+    # open question: can more than phi(m) game subsets share one game type?
+    G = groups.cyclic_group(args.m)
+    games = (groups.group_game(G, A) for A in groups.enumerate_game_subsets(G))
+    fams = Counter(morph.canonical_form(g).bits for g in games)
+    phi = groups.euler_phi(args.m)
+    sizes = sorted(fams.values(), reverse=True)
+    exceeds = "yes" if sizes and sizes[0] > phi else "no"
+    return _lines([f"phi={phi}", "family_sizes=" + _words(sizes, ","), f"exceeds_phi={exceeds}"])
+
+
+def _atlas_enumerate(args) -> None:
+    """The one verb that writes its own output: -o gets the games, stdout the count."""
+    gs = list(atlas.enumerate_games(args.p))
+    if args.output:
+        _write(args.output, "\n".join(serialize(g) for g in gs))
+    sys.stdout.write(f"{len(gs)}\n")
+
+
+def _atlas_census(args) -> str:
+    atl = atlas.census(args.p)
+    # from size 3 on, swapping labels 0 and 1 pairs the games an odd
+    # number of edges apart, so each parity of |Delta(., base)| has half
+    t = atl.labeled_total
+    return _json(
+        {
+            "p": atl.p,
+            "labeled_total": atl.labeled_total,
+            "classes": [
                 {
-                    "is_tournament": f.is_tournament,
-                    "is_eulerian": f.is_eulerian,
-                    "is_game": f.is_game,
-                    "is_regular": f.is_regular,
+                    "canon_hex": c.canon_hex,
+                    "aut_order": c.aut_order,
+                    "labeled_count": c.labeled_count,
                 }
-            ),
-            args.output,
-        )
-    elif args.sub == "cycles":
-        st = eulerian.three_cycle_stats(_require_tournament(g))
-        _emit(
-            _json(
-                {
-                    "per_vertex": list(st.per_vertex),
-                    "total": st.total,
-                    "formula_total": st.formula_total,
-                }
-            ),
-            args.output,
-        )
-    elif args.sub == "span":
-        rep = eulerian.span_lower_bound(g) if args.bound_only else eulerian.span(g)
-        _emit(eulerian.format_decomposition(rep), args.output)
-    elif args.sub == "steiner":
-        triples = eulerian.steiner_decomposition(_require_game(g))
-        if triples is None:
-            _emit("not steiner\n", args.output)
-        else:
-            _emit("".join(f"c {a} {b} {c}\n" for (a, b, c) in triples), args.output)
-    elif args.sub == "reducibility":
-        rep = construct.reducibility_graph(_require_game(g))
-        lines = [f"kind={rep.kind}"]
-        for comp in rep.components:
-            lines.append("path " + " ".join(str(v) for v in comp))
-        _emit("\n".join(lines) + "\n", args.output)
-    elif args.sub == "sep":
-        rep = construct.has_sep(_require_tournament(g), _ints(args.t0))
-        if rep.ok:
-            lines = ["ok"]
-            for J in sorted(rep.witness, key=lambda s: (len(s), sorted(s))):
-                lines.append(
-                    "J={" + ",".join(str(x) for x in sorted(J)) + "} v=" + str(rep.witness[J])
-                )
-            _emit("\n".join(lines) + "\n", args.output)
-        else:
-            _emit("fail J={" + ",".join(str(x) for x in sorted(rep.failing or ())) + "}\n", args.output)
-    return 0
-
-
-def _cmd_plan(args) -> int:
-    if args.sub == "apply":
-        g = _read_graph(args.input)
-        plan = reversal.parse_plan(Path(args.plan).read_text())
-        _emit(serialize(reversal.apply_plan(g, plan)), args.output)
-        return 0
-    a = _require_tournament(_read_graph(args.a))
-    b = _require_tournament(_read_graph(args.b))
-    if args.sub == "any":
-        plan = reversal.plan_any(a, b)
-    elif args.sub == "optimal":
-        plan = reversal.plan_optimal(a, b)
-    else:
-        J = _ints(args.j)
-        K = [v for v in range(a.p) if v not in set(J)]
-        plan = reversal.bipartite_plan(a, b, J, K)
-    _emit(reversal.format_plan(plan), args.output)
-    return 0
-
-
-def _cmd_iso(args) -> int:
-    if args.sub == "canon":
-        cf = morph.canonical_form(_read_graph(args.input))
-        _emit(cf.hex + "\n", args.output)
-    elif args.sub == "test":
-        w = morph.are_isomorphic(_read_graph(args.a), _read_graph(args.b))
-        if w is None:
-            _emit("non-isomorphic\n", args.output)
-        else:
-            _emit("isomorphic " + " ".join(str(x) for x in w.image) + "\n", args.output)
-    elif args.sub == "aut":
-        ag = morph.automorphisms(_read_graph(args.input))
-        lines = [f"order {ag.order}"]
-        for perm in ag:
-            lines.append(" ".join(str(x) for x in perm.image))
-        _emit("\n".join(lines) + "\n", args.output)
-    elif args.sub == "classify7":
-        _emit(morph.classify7(_require_game(_read_graph(args.input))) + "\n", args.output)
-    return 0
-
-
-def _cmd_groups(args) -> int:
-    if args.sub == "phi":
-        _emit(str(groups.euler_phi(args.m)) + "\n", args.output)
-        return 0
-    if args.sub == "fermat":
-        _emit(("yes" if groups.is_fermat_square_free(args.m) else "no") + "\n", args.output)
-        return 0
-    if args.sub == "explore-aut":
-        # open question: does any game subset of Z_m (m a Fermat prime, e.g. 17)
-        # carry extra automorphisms beyond the m translations?
-        G = groups.cyclic_group(args.m)
-        tally: dict[int, int] = {}
-        extras = []
-        for A in groups.enumerate_game_subsets(G):
-            order = morph.automorphisms(groups.group_game(G, A)).order
-            tally[order] = tally.get(order, 0) + 1
-            if order != args.m:
-                extras.append(A)
-        lines = [f"aut_order={k} subsets={tally[k]}" for k in sorted(tally)]
-        lines.append(f"extra_automorphism_subsets={len(extras)}")
-        _emit("\n".join(lines) + "\n", args.output)
-        return 0
-    if args.sub == "explore-iso-families":
-        # open question: can more than phi(m) game subsets share one game type?
-        G = groups.cyclic_group(args.m)
-        fams: dict[int, int] = {}
-        for A in groups.enumerate_game_subsets(G):
-            bits = morph.canonical_form(groups.group_game(G, A)).bits
-            fams[bits] = fams.get(bits, 0) + 1
-        phi = groups.euler_phi(args.m)
-        sizes = sorted(fams.values(), reverse=True)
-        lines = [f"phi={phi}", "family_sizes=" + ",".join(str(s) for s in sizes)]
-        lines.append(f"exceeds_phi={'yes' if sizes and sizes[0] > phi else 'no'}")
-        _emit("\n".join(lines) + "\n", args.output)
-        return 0
-    G = _group_from_args(args)
-    if args.sub == "subsets":
-        text = "".join(groups.serialize_subset(A) for A in groups.enumerate_game_subsets(G))
-        _emit(text, args.output)
-    elif args.sub == "pair-subsets":
-        H = _ints(args.subgroup)
-        text = "".join(groups.serialize_subset(A) for A in groups.pair_game_subsets(G, H))
-        _emit(text, args.output)
-    elif args.sub == "quotient":
-        A = groups.GameSubset(G, _ints(args.subset))
-        q, cosets, _ = groups.quotient_game(G, _ints(args.subgroup), A)
-        _emit(serialize(q), args.output)
-    elif args.sub == "factorize":
-        A = groups.GameSubset(G, _ints(args.subset))
-        w = groups.lex_factorization_check(G, _ints(args.subgroup), A)
-        _emit("witness " + " ".join(str(x) for x in w.image) + "\n", args.output)
-    return 0
-
-
-def _cmd_atlas(args) -> int:
-    if args.sub == "enumerate":
-        gs = list(atlas_mod.enumerate_games(args.p))
-        if args.output:
-            Path(args.output).write_text("\n".join(serialize(g) for g in gs))
-        sys.stdout.write(f"{len(gs)}\n")
-    elif args.sub == "census":
-        atl = atlas_mod.census(args.p)
-        # from size 3 on, swapping labels 0 and 1 pairs the games an odd
-        # number of edges apart, so each parity of |Delta(., base)| has half
-        t = atl.labeled_total
-        _emit(
-            _json(
-                {
-                    "p": atl.p,
-                    "labeled_total": atl.labeled_total,
-                    "classes": [
-                        {
-                            "canon_hex": c.canon_hex,
-                            "aut_order": c.aut_order,
-                            "labeled_count": c.labeled_count,
-                        }
-                        for c in atl.classes
-                    ],
-                    "parity_split": [t - t // 2, t // 2],
-                }
-            ),
-            args.output,
-        )
-    elif args.sub == "distance":
-        a = _require_game(_read_graph(args.a))
-        b = _require_game(_read_graph(args.b))
-        d = atlas_mod.interchange_distance(a, b)
-        _emit(str(d) + "\n", args.output)
-    elif args.sub == "diameter":
-        rep = atlas_mod.diameter(args.p)
-        _emit(
-            _json({"p": rep.p, "diameter": rep.value, "n_squared": rep.conjectured}),
-            args.output,
-        )
-    elif args.sub == "report":
-        rep = atlas_mod.count_report(args.n)
-        payload = {
-            "n": rep.n,
-            "p": rep.p,
-            "binom": rep.binom,
-            "exact_total": rep.exact_total,
-            "exact_pointed": rep.exact_pointed,
-            "formula_pointed_lower": rep.formula_pointed_lower,
-            "formula_total_lower": rep.formula_total_lower,
-            "is_lower_bound": f"{rep.is_lower_bound_num}/{rep.is_lower_bound_den}",
-            "literature_pointed": rep.literature_pointed,
-            "literature_total": rep.literature_total,
-            "literature_agrees": rep.literature_agrees,
+                for c in atl.classes
+            ],
+            "parity_split": [t - t // 2, t // 2],
         }
-        if rep.literature_agrees is False:
-            sys.stderr.write(
-                "DISCREPANCY: enumerated counts disagree with the literature values; "
-                "the enumerated values are oracle-backed\n"
-            )
-        _emit(_json(payload), args.output)
-    return 0
+    )
 
 
+def _atlas_diameter(args) -> str:
+    rep = atlas.diameter(args.p)
+    return _json({"p": rep.p, "diameter": rep.value, "n_squared": rep.conjectured})
+
+
+def _atlas_report(args) -> str:
+    rep = atlas.count_report(args.n)
+    if rep.literature_agrees is False:
+        sys.stderr.write(
+            "DISCREPANCY: enumerated counts disagree with the literature values; "
+            "the enumerated values are oracle-backed\n"
+        )
+    payload = asdict(rep)
+    num, den = payload.pop("is_lower_bound_num"), payload.pop("is_lower_bound_den")
+    return _json({**payload, "is_lower_bound": f"{num}/{den}", "literature_agrees": rep.literature_agrees})
+
+
+# -- the command table ----------------------------------------------------------
+
+
+def _arg(*flags: str, **kw) -> tuple[tuple[str, ...], dict]:
+    return flags, kw
+
+
+_INPUT, _A, _B = _arg("input"), _arg("a"), _arg("b")
+_P, _M = _arg("p", type=int), _arg("m", type=int)
+_GROUP = [
+    _arg("--cyclic", help="cyclic group Z_m"),
+    _arg("--product", help="direct product Z_m1 x Z_m2, as m1,m2"),
+    _arg("--semidirect", help="semidirect Z_q acting on Z_p by a, as q,p,a"),
+    _arg("--group-file", help="Cayley table file"),
+]
+_SUBGROUP, _SUBSET = _arg("--subgroup", required=True), _arg("--subset", required=True)
+
+# verb -> (help, {sub-verb -> ([arguments], handler)}), the sub-verbs in their
+# --help order; every sub-parser also gets -o/--output
+COMMANDS = {
+    "gen": ("construct graphs", {
+        "double": ([_INPUT], lambda args: serialize(construct.double(_tournament(args.input))[0])),
+        "complete": ([_INPUT], lambda args: serialize(construct.eulerian_to_game(_graph(args.input)))),
+        "saturate": ([_INPUT], lambda args: serialize(construct.saturate(_tournament(args.input))[0])),
+        "lex": ([_A, _B], lambda args: serialize(construct.lex_product(_graph(args.a), _graph(args.b)))),
+        "extend": (
+            [_INPUT, _arg("--k", required=True, help="comma list, the future in-set of u")],
+            lambda args: serialize(construct.extend(_game(args.input), _ints(args.k))[0]),
+        ),
+        "group": (
+            [*_GROUP, _arg("--subset", required=True, help="comma list of subset elements")],
+            lambda args: _group_game(groups.GameSubset(_group(args), _ints(args.subset))),
+        ),
+        "qr": (
+            [_arg("--prime", type=int, required=True)],
+            lambda args: _group_game(groups.quadratic_residue_subset(args.prime)),
+        ),
+        "realize": ([_arg("plus"), _arg("minus")], _gen_realize),
+        "random": (
+            [
+                _arg("--size", type=int, required=True),
+                _arg("--seed", type=int, required=True),
+                _arg("--steps", type=int, default=64),
+            ],
+            _gen_random,
+        ),
+    }),
+    "analyze": ("inspect graphs", {
+        "scores": ([_INPUT], lambda args: _words(scores(_graph(args.input))) + "\n"),
+        "classify": ([_INPUT], lambda args: _json(asdict(classify_digraph(_graph(args.input))))),
+        "cycles": ([_INPUT], lambda args: _json(asdict(eulerian.three_cycle_stats(_tournament(args.input))))),
+        "steiner": ([_INPUT], _analyze_steiner),
+        "reducibility": ([_INPUT], _analyze_reducibility),
+        "span": ([_INPUT, _arg("--bound-only", action="store_true")], _analyze_span),
+        "sep": ([_INPUT, _arg("--t0", required=True, help="comma list of anchor vertices")], _analyze_sep),
+    }),
+    "plan": ("reversal planning", {
+        "any": ([_A, _B], _plan_any),
+        "optimal": ([_A, _B], _plan_optimal),
+        "bipartite": (
+            [_A, _B, _arg("--j", required=True, help="comma list: one part of the bipartition")],
+            _plan_bipartite,
+        ),
+        "apply": ([_INPUT, _arg("plan")], _plan_apply),
+    }),
+    "iso": ("isomorphism tools", {
+        "canon": ([_INPUT], lambda args: morph.canonical_form(_graph(args.input)).hex + "\n"),
+        "aut": ([_INPUT], _iso_aut),
+        "classify7": ([_INPUT], lambda args: morph.classify7(_game(args.input)) + "\n"),
+        "test": ([_A, _B], _iso_test),
+    }),
+    "groups": ("group machinery", {
+        "subsets": (
+            _GROUP,
+            lambda args: "".join(map(groups.serialize_subset, groups.enumerate_game_subsets(_group(args)))),
+        ),
+        "pair-subsets": ([*_GROUP, _SUBGROUP], _groups_pair_subsets),
+        "quotient": ([*_GROUP, _SUBGROUP, _SUBSET], _groups_quotient),
+        "factorize": ([*_GROUP, _SUBGROUP, _SUBSET], _groups_factorize),
+        "phi": ([_M], lambda args: f"{groups.euler_phi(args.m)}\n"),
+        "fermat": ([_M], lambda args: ("yes" if groups.is_fermat_square_free(args.m) else "no") + "\n"),
+        "explore-aut": ([_M], _groups_explore_aut),
+        "explore-iso-families": ([_M], _groups_explore_iso_families),
+    }),
+    "atlas": ("exhaustive atlas", {
+        "enumerate": ([_P], _atlas_enumerate),
+        "census": ([_P], _atlas_census),
+        "diameter": ([_P], _atlas_diameter),
+        "distance": ([_A, _B], lambda args: f"{atlas.interchange_distance(_game(args.a), _game(args.b))}\n"),
+        "report": ([_arg("n", type=int)], _atlas_report),
+    }),
+}
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="gamegraphs", description=__doc__)
-    top = ap.add_subparsers(dest="verb", required=True)
-
-    gen = top.add_parser("gen", help="construct graphs").add_subparsers(dest="sub", required=True)
-    for name in ("double", "complete", "saturate"):
-        sp = gen.add_parser(name)
-        sp.add_argument("input")
-        sp.add_argument("-o", "--output")
-        sp.set_defaults(func=_cmd_gen)
-    sp = gen.add_parser("lex")
-    sp.add_argument("a")
-    sp.add_argument("b")
-    sp.add_argument("-o", "--output")
-    sp.set_defaults(func=_cmd_gen)
-    sp = gen.add_parser("extend")
-    sp.add_argument("input")
-    sp.add_argument("--k", required=True, help="comma list, the future in-set of u")
-    sp.add_argument("-o", "--output")
-    sp.set_defaults(func=_cmd_gen)
-    sp = gen.add_parser("group")
-    _add_group_args(sp)
-    sp.add_argument("--subset", required=True, help="comma list of subset elements")
-    sp.add_argument("-o", "--output")
-    sp.set_defaults(func=_cmd_gen)
-    sp = gen.add_parser("qr")
-    sp.add_argument("--prime", type=int, required=True)
-    sp.add_argument("-o", "--output")
-    sp.set_defaults(func=_cmd_gen)
-    sp = gen.add_parser("realize")
-    sp.add_argument("plus")
-    sp.add_argument("minus")
-    sp.add_argument("-o", "--output")
-    sp.set_defaults(func=_cmd_gen)
-    sp = gen.add_parser("random")
-    sp.add_argument("--size", type=int, required=True)
-    sp.add_argument("--seed", type=int, required=True)
-    sp.add_argument("--steps", type=int, default=64)
-    sp.add_argument("-o", "--output")
-    sp.set_defaults(func=_cmd_gen)
-
-    an = top.add_parser("analyze", help="inspect graphs").add_subparsers(dest="sub", required=True)
-    for name in ("scores", "classify", "cycles", "steiner", "reducibility"):
-        sp = an.add_parser(name)
-        sp.add_argument("input")
-        sp.add_argument("-o", "--output")
-        sp.set_defaults(func=_cmd_analyze)
-    sp = an.add_parser("span")
-    sp.add_argument("input")
-    sp.add_argument("--bound-only", action="store_true")
-    sp.add_argument("-o", "--output")
-    sp.set_defaults(func=_cmd_analyze)
-    sp = an.add_parser("sep")
-    sp.add_argument("input")
-    sp.add_argument("--t0", required=True, help="comma list of anchor vertices")
-    sp.add_argument("-o", "--output")
-    sp.set_defaults(func=_cmd_analyze)
-
-    pl = top.add_parser("plan", help="reversal planning").add_subparsers(dest="sub", required=True)
-    for name in ("any", "optimal"):
-        sp = pl.add_parser(name)
-        sp.add_argument("a")
-        sp.add_argument("b")
-        sp.add_argument("-o", "--output")
-        sp.set_defaults(func=_cmd_plan)
-    sp = pl.add_parser("bipartite")
-    sp.add_argument("a")
-    sp.add_argument("b")
-    sp.add_argument("--j", required=True, help="comma list: one part of the bipartition")
-    sp.add_argument("-o", "--output")
-    sp.set_defaults(func=_cmd_plan)
-    sp = pl.add_parser("apply")
-    sp.add_argument("input")
-    sp.add_argument("plan")
-    sp.add_argument("-o", "--output")
-    sp.set_defaults(func=_cmd_plan)
-
-    iso = top.add_parser("iso", help="isomorphism tools").add_subparsers(dest="sub", required=True)
-    for name in ("canon", "aut", "classify7"):
-        sp = iso.add_parser(name)
-        sp.add_argument("input")
-        sp.add_argument("-o", "--output")
-        sp.set_defaults(func=_cmd_iso)
-    sp = iso.add_parser("test")
-    sp.add_argument("a")
-    sp.add_argument("b")
-    sp.add_argument("-o", "--output")
-    sp.set_defaults(func=_cmd_iso)
-
-    gr = top.add_parser("groups", help="group machinery").add_subparsers(dest="sub", required=True)
-    for name in ("subsets",):
-        sp = gr.add_parser(name)
-        _add_group_args(sp)
-        sp.add_argument("-o", "--output")
-        sp.set_defaults(func=_cmd_groups)
-    sp = gr.add_parser("pair-subsets")
-    _add_group_args(sp)
-    sp.add_argument("--subgroup", required=True)
-    sp.add_argument("-o", "--output")
-    sp.set_defaults(func=_cmd_groups)
-    for name in ("quotient", "factorize"):
-        sp = gr.add_parser(name)
-        _add_group_args(sp)
-        sp.add_argument("--subgroup", required=True)
-        sp.add_argument("--subset", required=True)
-        sp.add_argument("-o", "--output")
-        sp.set_defaults(func=_cmd_groups)
-    for name in ("phi", "fermat", "explore-aut", "explore-iso-families"):
-        sp = gr.add_parser(name)
-        sp.add_argument("m", type=int)
-        sp.add_argument("-o", "--output")
-        sp.set_defaults(func=_cmd_groups)
-
-    at = top.add_parser("atlas", help="exhaustive atlas").add_subparsers(dest="sub", required=True)
-    for name in ("enumerate", "census", "diameter"):
-        sp = at.add_parser(name)
-        sp.add_argument("p", type=int)
-        sp.add_argument("-o", "--output")
-        sp.set_defaults(func=_cmd_atlas)
-    sp = at.add_parser("distance")
-    sp.add_argument("a")
-    sp.add_argument("b")
-    sp.add_argument("-o", "--output")
-    sp.set_defaults(func=_cmd_atlas)
-    sp = at.add_parser("report")
-    sp.add_argument("n", type=int)
-    sp.add_argument("-o", "--output")
-    sp.set_defaults(func=_cmd_atlas)
-
+    """The parser for every row of `COMMANDS`, built once per process and
+    shared by every call: callers must not modify it."""
+    # --help shows the docstring's first two paragraphs, the part for users
+    description = "\n\n".join((__doc__ or "").split("\n\n")[:2])
+    ap = argparse.ArgumentParser(prog="gamegraphs", description=description)
+    verbs = ap.add_subparsers(dest="verb", required=True)
+    for verb, (help_text, subs) in COMMANDS.items():
+        sub_verbs = verbs.add_parser(verb, help=help_text).add_subparsers(dest="sub", required=True)
+        for sub, (arguments, handler) in subs.items():
+            sp = sub_verbs.add_parser(sub)
+            for flags, kw in arguments:
+                sp.add_argument(*flags, **kw)
+            sp.add_argument("-o", "--output")
+            sp.set_defaults(func=handler)
     return ap
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        text = args.func(args)
+        if text is not None and args.output:
+            _write(args.output, text)
+        elif text is not None:
+            sys.stdout.write(text)
     except DomainError as exc:
         sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
         return 1
+    return 0
 
 
 if __name__ == "__main__":

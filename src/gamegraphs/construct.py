@@ -218,7 +218,8 @@ def reducibility_graph(g: Game) -> ReducibilityReport:
         return ReducibilityReport(edges, "empty", ())
     nxt = {i: j for (i, j) in es}
     prv = {j: i for (i, j) in es}
-    assert len(nxt) == len(es) and len(prv) == len(es)
+    if len(nxt) != len(es) or len(prv) != len(es):
+        raise InvariantViolation("a vertex has two reducible out-edges or two reducible in-edges")
     if len(es) == g.p:
         start = min(nxt)
         cyc = [start]
@@ -232,7 +233,8 @@ def reducibility_graph(g: Game) -> ReducibilityReport:
         while path[-1] in nxt:
             path.append(nxt[path[-1]])
         comps.append(tuple(path))
-    assert sum(len(c) - 1 for c in comps) == len(es)
+    if sum(len(c) - 1 for c in comps) != len(es):
+        raise InvariantViolation("the reducibility paths miss a reducible edge")
     return ReducibilityReport(edges, "paths", tuple(comps))
 
 
@@ -307,7 +309,8 @@ def realize_pointed(gp: Tournament, gm: Tournament) -> tuple[Game, DoubleLayout]
     diffs = sorted((i, j) for (i, j) in gm.edges() if gp.has_edge(j, i))
     for (i, j) in diffs:
         ip, jp = lay.plus(i), lay.plus(j)
-        assert g.has_edge(ip, jp)
+        if not g.has_edge(ip, jp):
+            raise InvariantViolation(f"difference edge {ip}->{jp} is missing before its reversal")
         path = _xi_bfs_path(g, plus_set, minus_set, jp, ip)
         cyc = EdgeSet(g.p, list(zip(path, path[1:])) + [(ip, jp)])
         g2 = reverse_subgraph(g, cyc)
@@ -409,7 +412,8 @@ def embed_in_game(t: Tournament) -> tuple[Game, list[int]]:
     order = from_rows(n, order_rows)
     g, lay = realize_pointed(order, t)
     u = lay.plus(0)  # score n-1 inside the upper copy
-    assert is_reducible_via(g, u, lay.base)
+    if not is_reducible_via(g, u, lay.base):
+        raise InvariantViolation("the top upper vertex does not reduce with the base")
     sub, index = reduce_via(g, u, lay.base)
     return sub, [index[lay.minus(j)] for j in range(n)]
 
@@ -550,7 +554,8 @@ def uniquely_reducible_extension(pi: Game, K: Optional[Iterable[int]] = None) ->
             raise NotApplicable("no K satisfies the unique-reducibility conditions")
     g, u, v = extend(pi, chosen)
     out = reducibility_graph(g)
-    assert out.edges.edge_count() == 1
+    if out.edges.edge_count() != 1:
+        raise InvariantViolation(f"the extension has {out.edges.edge_count()} reducible pairs, not one")
     return g, u, v
 
 

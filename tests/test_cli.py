@@ -1,9 +1,11 @@
 import json
+import random
+from itertools import permutations
 
 import pytest
 
 from gamegraphs.cli import main
-from gamegraphs.core import circulant, parse, serialize
+from gamegraphs.core import circulant, make_digraph, parse, serialize
 
 
 def run(capsys, *argv):
@@ -286,3 +288,71 @@ class TestExitCodes:
         _, out1, _ = run(capsys, "atlas", "census", "5")
         _, out2, _ = run(capsys, "atlas", "census", "5")
         assert out1 == out2
+
+
+def _four_cycles(edges, J, K):
+    cycles = (
+        ((j1, k1), (k1, j2), (j2, k2), (k2, j1))
+        for j1, j2 in permutations(J, 2)
+        for k1, k2 in permutations(K, 2)
+    )
+    return [c for c in cycles if all(e in edges for e in c)]
+
+
+def _bipartite_pair(rng, nj, nk, flips):
+    """A random bipartite tournament on J = 0..nj-1, K = the rest, with at
+    least one 4-cycle, and the same tournament after `flips` random 4-cycle
+    reversals (so with equal scores)."""
+    J, K = range(nj), range(nj, nj + nk)
+    edges: set = set()
+    while not _four_cycles(edges, J, K):
+        edges = {(j, k) if rng.random() < 0.5 else (k, j) for j in J for k in K}
+    first = make_digraph(nj + nk, edges)
+    for _ in range(flips):
+        cycle = rng.choice(_four_cycles(edges, J, K))
+        edges = (edges - set(cycle)) | {(b, a) for (a, b) in cycle}
+    return first, make_digraph(nj + nk, edges), ",".join(map(str, J))
+
+
+class TestPlanBipartite:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_plan_replays_to_the_second_file(self, tmp_path, capsys, seed):
+        rng = random.Random(seed)
+        first, second, j = _bipartite_pair(rng, rng.choice((3, 4)), rng.choice((3, 4)), 7)
+        a, b, plan = tmp_path / "a.t", tmp_path / "b.t", tmp_path / "p.plan"
+        a.write_text(serialize(first))
+        b.write_text(serialize(second))
+        code, _, err = run(capsys, "plan", "bipartite", str(a), str(b), "--j", j, "-o", str(plan))
+        assert code == 0 and err == ""
+        code, stdout, _ = run(capsys, "plan", "apply", str(a), str(plan))
+        assert code == 0 and stdout == b.read_text()
+
+    def test_tournaments_are_not_bipartite(self, tmp_path, capsys, g7i, g7iii):
+        a, b = tmp_path / "a.game", tmp_path / "b.game"
+        a.write_text(serialize(g7i))
+        b.write_text(serialize(g7iii))
+        code, stdout, err = run(capsys, "plan", "bipartite", str(a), str(b), "--j", "0,1,2")
+        assert code == 1 and stdout == ""
+        assert err.startswith("ScoreMismatch: ") and "Traceback" not in err
+
+
+class TestFileErrors:
+    @pytest.mark.parametrize("argv, error, named", [
+        (["analyze", "scores", "MISSING"], "UsageError", "MISSING"),
+        (["analyze", "scores", "JUNK"], "ParseError", "JUNK"),
+        (["analyze", "scores", "GAME", "-o", "NODIR"], "UsageError", "NODIR"),
+        (["plan", "apply", "GAME", "MISSING"], "UsageError", "MISSING"),
+        (["plan", "apply", "GAME", "JUNK"], "ParseError", "JUNK"),
+        (["gen", "group", "--group-file", "MISSING", "--subset", "1"], "UsageError", "MISSING"),
+        (["groups", "subsets", "--group-file", "JUNK"], "ParseError", "JUNK"),
+        (["atlas", "enumerate", "3", "-o", "NODIR"], "UsageError", "NODIR"),
+    ])
+    def test_file_errors_are_domain_errors(self, tmp_path, capsys, c3, argv, error, named):
+        game, junk = tmp_path / "c3.game", tmp_path / "junk.bin"
+        game.write_text(serialize(c3))
+        junk.write_bytes(random.Random(0).randbytes(200))  # not UTF-8
+        paths = {"GAME": game, "JUNK": junk, "MISSING": tmp_path / "missing", "NODIR": tmp_path / "no" / "x"}
+        code, stdout, err = run(capsys, *[str(paths.get(a, a)) for a in argv])
+        assert code == 1 and stdout == ""
+        assert err.startswith(error + ": ") and str(paths[named]) in err
+        assert "Traceback" not in err

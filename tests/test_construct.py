@@ -70,12 +70,13 @@ from contextlib import nullcontext
 from unittest import mock
 
 from gamegraphs import construct
-from gamegraphs.core import Digraph, EdgeSet, circulant, reverse
+from gamegraphs.core import Digraph, EdgeSet, circulant, make_digraph, reverse
 from gamegraphs.errors import InvariantViolation
 
 if __debug__:
     raise SystemExit("asserts are live")
 c3 = circulant(3, (1,))
+_double = construct.double
 cases = [
     ("steiner_missing", nullcontext(),
      lambda: construct._validate_steiner_witness(c3, [(0, 2, 1)])),
@@ -93,6 +94,17 @@ cases = [
      lambda: construct.eulerian_to_game(EdgeSet(5, [])), "deviation did not drop by one"),
     ("result", mock.patch.object(construct, "from_rows", Digraph),
      lambda: construct.eulerian_to_game(circulant(5, (1, 2)))),
+    ("reducibility_fork", mock.patch.object(construct, "is_reducible_via", lambda g, i, j: True),
+     lambda: construct.reducibility_graph(circulant(5, (1, 2))), "two reducible"),
+    ("reducibility_cover",
+     mock.patch.object(construct, "is_reducible_via", lambda g, i, j: (i, j) in {(0, 1), (1, 3), (3, 0)}),
+     lambda: construct.reducibility_graph(circulant(5, (1, 2)))),
+    ("realize_edge", mock.patch.object(construct, "double", lambda t: (reverse(_double(t)[0]), _double(t)[1])),
+     lambda: construct.realize_pointed(c3, reverse(c3))),
+    ("embed_reducible", mock.patch.object(construct, "is_reducible_via", lambda g, u, v: False),
+     lambda: construct.embed_in_game(make_digraph(2, [(0, 1)]))),
+    ("unique_extension", mock.patch.object(construct, "extend", lambda pi, K: (pi, 0, 1)),
+     lambda: construct.uniquely_reducible_extension(circulant(7, (1, 2, 4)))),
 ]
 for name, patch, run, *message in cases:
     with patch:
@@ -377,6 +389,7 @@ class TestCertificates:
         assert out.stdout.split() == [
             "steiner_missing", "steiner_reused", "steiner_cover",
             "restriction", "path", "deviation", "deviation_unrecorded", "result",
+            "reducibility_fork", "reducibility_cover", "realize_edge", "embed_reducible", "unique_extension",
         ]
 
 
