@@ -13,6 +13,7 @@ from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from .core import (
+    MAX_VERTICES,
     Digraph,
     EdgeSet,
     Game,
@@ -633,9 +634,9 @@ def saturate(t: Tournament) -> tuple[Tournament, dict[int, frozenset[int]]]:
     the smaller mask beats the larger.
     """
     s = t.p
-    if s > 16:
-        raise TooLarge("saturation budget is 2^16 new vertices")
     p = s + (1 << s)
+    if p > MAX_VERTICES:
+        raise TooLarge(f"saturating {s} vertices gives {p} > {MAX_VERTICES}")
     rows = [0] * p
     for i in range(s):
         rows[i] = t.rows[i]

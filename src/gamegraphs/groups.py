@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from itertools import permutations as iter_permutations
 from itertools import product
 from math import gcd
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
-from .core import Game, Permutation, from_rows, relabel, restrict
+from .core import Game, Permutation, _bits, from_rows, relabel, restrict
 from .errors import (
     BadAction,
     BadPrime,
@@ -26,8 +26,10 @@ from .errors import (
     NotGameSubset,
     NotPairSubset,
     NotSubgroup,
+    ParseError,
     TooLarge,
 )
+from .morph import AutGroup, _orbit_roots, automorphisms
 
 
 class FiniteGroup:
@@ -164,21 +166,28 @@ class GameSubset:
     __slots__ = ("group", "mask")
 
     def __init__(self, group: FiniteGroup, mask_or_elems):
-        mask = mask_or_elems if isinstance(mask_or_elems, int) else sum(
-            1 << e for e in mask_or_elems
-        )
+        if isinstance(mask_or_elems, int):
+            mask = mask_or_elems
+        else:
+            mask = 0
+            for e in mask_or_elems:
+                if not 0 <= e < group.m:
+                    raise NotGameSubset(f"element {e} outside 0..{group.m - 1}")
+                if (mask >> e) & 1:
+                    raise NotGameSubset(f"element {e} named twice")
+                mask |= 1 << e
         if mask & 1:
             raise NotGameSubset("identity cannot belong to a graph subset")
         if mask >> group.m:
             raise NotGameSubset("element out of range")
-        for e in _mask_bits(mask):
+        for e in _bits(mask):
             if (mask >> group.inverse(e)) & 1:
                 raise NotGameSubset(f"{e} and its inverse both present")
         self.group = group
         self.mask = mask
 
     def elements(self) -> tuple[int, ...]:
-        return tuple(_mask_bits(self.mask))
+        return tuple(_bits(self.mask))
 
     def __contains__(self, e: int) -> bool:
         return bool((self.mask >> e) & 1)
@@ -210,29 +219,42 @@ class GameSubset:
         return f"GameSubset({sorted(self.elements())} of order-{self.group.m} group)"
 
 
-def _mask_bits(mask: int) -> Iterator[int]:
-    while mask:
-        b = mask & -mask
-        yield b.bit_length() - 1
-        mask ^= b
+_SUBSET_BUDGET = 1 << 16  # most game subsets one family may list
+
+
+def _block_subsets(G: FiniteGroup, blocks: Iterable[Sequence[int]]) -> list[GameSubset]:
+    """Every game subset that is a union of blocks, ascending by bitmask.
+
+    The blocks partition G \\ {e}, and inversion carries each block onto a
+    block.  A game subset takes one block from each inverse pair, so there
+    are 2^(pair count); TooLarge is raised before building more than
+    _SUBSET_BUDGET of them.
+    """
+    block_of = [0] * G.m
+    for b in blocks:
+        mask = sum(1 << x for x in b)
+        for x in b:
+            block_of[x] = mask
+    pairs: dict[int, int] = {}
+    for e in range(1, G.m):
+        b, inv = block_of[e], block_of[G.inverse(e)]
+        if b == inv:
+            raise EvenOrderSubgroup(f"the block of {e} meets its own inverse")
+        if inv not in pairs:
+            pairs[b] = inv
+    if 1 << len(pairs) > _SUBSET_BUDGET:
+        raise TooLarge(f"2^{len(pairs)} game subsets; the budget is {_SUBSET_BUDGET}")
+    masks = [0]
+    for b, inv in pairs.items():
+        masks = [m | c for m in masks for c in (b, inv)]
+    return [GameSubset(G, m) for m in sorted(masks)]
 
 
 def enumerate_game_subsets(G: FiniteGroup) -> list[GameSubset]:
     """All 2^((m-1)/2) game subsets, ascending by bitmask."""
     if G.m % 2 == 0:
         raise EvenOrder("game subsets need a group of odd order")
-    pairs = []
-    seen = set()
-    for e in range(1, G.m):
-        if e in seen:
-            continue
-        seen.add(e)
-        seen.add(G.inverse(e))
-        pairs.append((e, G.inverse(e)))
-    masks = [0]
-    for (a, b) in pairs:
-        masks = [m | (1 << c) for m in masks for c in (a, b)]
-    return [GameSubset(G, m) for m in sorted(masks)]
+    return _block_subsets(G, ([e] for e in range(1, G.m)))
 
 
 def group_game(G: FiniteGroup, A: GameSubset) -> Game:
@@ -260,18 +282,6 @@ def translation_perms(G: FiniteGroup) -> list[Permutation]:
 # -- group automorphisms -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GroupAutSet:
-    perms: tuple[Permutation, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.perms)
-
-    def __iter__(self):
-        return iter(self.perms)
-
-
 def _is_group_automorphism(G: FiniteGroup, xi: Permutation) -> bool:
     return all(
         xi(G.mult(i, j)) == G.mult(xi(i), xi(j)) for i in range(G.m) for j in range(G.m)
@@ -285,7 +295,7 @@ def multiplication_map(m: int, a: int) -> Permutation:
 _BRUTE_LIMIT = 9  # largest non-cyclic table brute-forced for automorphisms
 
 
-def group_automorphisms(G: FiniteGroup) -> GroupAutSet:
+def group_automorphisms(G: FiniteGroup) -> AutGroup:
     """All Cayley-table-preserving bijections.
 
     Standard cyclic tables get the analytic answer (multiplication by each
@@ -296,7 +306,7 @@ def group_automorphisms(G: FiniteGroup) -> GroupAutSet:
         perms = [multiplication_map(G.m, a) for a in units(G.m)] if G.m > 1 else [
             Permutation.identity(1)
         ]
-        return GroupAutSet(tuple(sorted(perms, key=lambda q: q.image)))
+        return AutGroup(tuple(sorted(perms, key=lambda q: q.image)))
     if G.m > _BRUTE_LIMIT:
         raise TooLarge(f"generic automorphism search capped at order {_BRUTE_LIMIT}")
     out = []
@@ -304,7 +314,7 @@ def group_automorphisms(G: FiniteGroup) -> GroupAutSet:
         xi = Permutation((0,) + img)
         if _is_group_automorphism(G, xi):
             out.append(xi)
-    return GroupAutSet(tuple(sorted(out, key=lambda q: q.image)))
+    return AutGroup(tuple(sorted(out, key=lambda q: q.image)))
 
 
 def isomorphic_subset_family(G: FiniteGroup, A: GameSubset) -> list[GameSubset]:
@@ -313,8 +323,6 @@ def isomorphic_subset_family(G: FiniteGroup, A: GameSubset) -> list[GameSubset]:
     Valid only when the automorphisms of Gamma[A] are the |G| translations;
     otherwise ExtraAutomorphisms is raised.
     """
-    from .morph import automorphisms
-
     game = group_game(G, A)
     auts = automorphisms(game)
     trans = set(translation_perms(G))
@@ -338,40 +346,11 @@ def h_invariant_subsets(G: FiniteGroup, H: Iterable[Permutation]) -> list[GameSu
     for xi in hperms:
         if not _is_group_automorphism(G, xi):
             raise NotSubgroup("H contains a non-automorphism")
-    orbit_of: dict[int, frozenset[int]] = {}
+    roots = _orbit_roots(G.m, [xi.image for xi in hperms])
+    orbits: dict[int, list[int]] = {}
     for e in range(1, G.m):
-        if e in orbit_of:
-            continue
-        orb = {e}
-        frontier = [e]
-        while frontier:
-            x = frontier.pop()
-            for xi in hperms:
-                y = xi(x)
-                if y not in orb:
-                    orb.add(y)
-                    frontier.append(y)
-        fo = frozenset(orb)
-        for x in orb:
-            orbit_of[x] = fo
-    pairs = []
-    done = set()
-    for e in range(1, G.m):
-        orb = orbit_of[e]
-        if orb in done:
-            continue
-        inv_orb = orbit_of[G.inverse(e)]
-        if inv_orb == orb:
-            raise EvenOrderSubgroup("orbit meets its own inverse; H has even order")
-        done.add(orb)
-        done.add(inv_orb)
-        pairs.append((orb, inv_orb))
-    masks = [0]
-    for (o1, o2) in pairs:
-        m1 = sum(1 << x for x in o1)
-        m2 = sum(1 << x for x in o2)
-        masks = [m | c for m in masks for c in (m1, m2)]
-    subs = [GameSubset(G, m) for m in sorted(masks)]
+        orbits.setdefault(roots[e], []).append(e)
+    subs = _block_subsets(G, orbits.values())
     if any(s.apply(xi) != s for s in subs for xi in hperms):
         raise InvariantViolation("a union of H-orbits is not H-invariant")
     return subs
@@ -392,16 +371,11 @@ def quadratic_residue_subset(p: int) -> GameSubset:
 
 @dataclass(frozen=True)
 class DoubleCosetPartition:
-    """Blocks HiH partitioning G; block_of_inverse pairs each non-H block with its inverse."""
+    """Blocks HiH partitioning G; blocks[0] is H itself, and inverse_block
+    pairs each non-H block with its inverse."""
 
     blocks: tuple[tuple[int, ...], ...]
     inverse_block: tuple[int, ...]
-
-    def block_index(self, e: int) -> int:
-        for k, b in enumerate(self.blocks):
-            if e in b:
-                return k
-        raise KeyError(e)
 
 
 def _check_subgroup(G: FiniteGroup, H: Iterable[int]) -> tuple[int, ...]:
@@ -447,40 +421,20 @@ def pair_game_subsets(G: FiniteGroup, H: Iterable[int]) -> list[GameSubset]:
     hs = _check_subgroup(G, H)
     if len(hs) % 2 == 0:
         raise EvenOrder("needs odd subgroup order")
-    dc = double_cosets(G, hs)
-    pair_choices: list[tuple[int, int]] = []
-    seen = set()
-    for k, blk in enumerate(dc.blocks):
-        if blk[0] in hs or k in seen:
-            continue
-        seen.add(k)
-        seen.add(dc.inverse_block[k])
-        pair_choices.append((k, dc.inverse_block[k]))
-    Hgrp, hlist = subgroup_group(G, hs)
-    base_subsets = enumerate_game_subsets(Hgrp)
-    out = []
-    for a0 in base_subsets:
-        m0 = sum(1 << hlist[e] for e in a0.elements())
-        masks = [m0]
-        for (k1, k2) in pair_choices:
-            b1 = sum(1 << x for x in dc.blocks[k1])
-            b2 = sum(1 << x for x in dc.blocks[k2])
-            masks = [m | c for m in masks for c in (b1, b2)]
-        out.extend(masks)
-    return [GameSubset(G, m) for m in sorted(out)]
+    blocks = double_cosets(G, hs).blocks
+    return _block_subsets(G, [*blocks[1:], *([h] for h in hs[1:])])
 
 
 def is_pair_game_subset(G: FiniteGroup, H: Iterable[int], A: GameSubset) -> bool:
-    hs = set(_check_subgroup(G, H))
+    """A is a full game subset, and i in A outside H puts all of HiH in A."""
+    blocks = double_cosets(G, H).blocks[1:]
     if not A.is_full:
         return False
-    elems = set(A.elements())
-    for i in elems - hs:
-        blk = {G.mult(G.mult(h1, i), h2) for h1 in hs for h2 in hs}
-        if not blk <= elems:
+    for blk in blocks:
+        mask = sum(1 << x for x in blk)
+        if A.mask & mask not in (0, mask):
             return False
-    inter = elems & hs
-    return 2 * len(inter) == len(hs) - 1 and all(G.inverse(x) not in inter for x in inter)
+    return True
 
 
 def quotient_game(
@@ -571,9 +525,9 @@ def orbit_subgame(g: Game, T: FiniteGroup, action: Sequence[Permutation], a: int
             if action[T.mult(t1, t2)] != action[t1].compose(action[t2]):
                 raise BadAction("action is not a homomorphism")
     H = tuple(sorted(t for t in range(T.m) if action[t](a) == a))
-    Hgrp, hlist = subgroup_group(T, H)
-    a0 = enumerate_game_subsets(Hgrp)[0]
-    mask = sum(1 << hlist[e] for e in a0.elements())
+    # A meets H in any game subset of H; take the least mask (the lesser
+    # element of each inverse pair), the first in enumeration order
+    mask = sum(1 << h for h in H if 0 < h < T.inverse(h))
     for t in range(T.m):
         if t not in H and g.has_edge(a, action[t](a)):
             mask |= 1 << t
@@ -614,8 +568,6 @@ def serialize_group(G: FiniteGroup) -> str:
 
 
 def parse_group(text: str) -> FiniteGroup:
-    from .errors import ParseError
-
     lines = [ln for ln in text.split("\n") if ln.strip() and not ln.lstrip().startswith("#")]
     if not lines or not lines[0].startswith("group "):
         raise ParseError("missing 'group <m>' header")
@@ -635,12 +587,13 @@ def serialize_subset(A: GameSubset) -> str:
 
 
 def parse_subset(text: str, G: FiniteGroup) -> GameSubset:
-    from .errors import ParseError
-
     parts = text.split()
     if len(parts) != 3 or parts[0] != "subset":
         raise ParseError("expected 'subset <m> <bitstring>'")
-    m = int(parts[1])
+    try:
+        m = int(parts[1])
+    except ValueError:
+        raise ParseError(f"subset size {parts[1]!r} is not an integer")
     if m != G.m or len(parts[2]) != m or set(parts[2]) - {"0", "1"}:
         raise ParseError("subset does not match the group")
     return GameSubset(G, [k for k, c in enumerate(parts[2]) if c == "1"])

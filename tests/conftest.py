@@ -5,15 +5,16 @@ exhaustive decomposition enumeration, isomorphism by raw permutation search,
 Eulerian-subgraph counts by direct subset enumeration.  Some keep the
 methods the library replaced: the census by canonicalizing every labeled
 game, the meet-in-the-middle Eulerian-subgraph count, the parity split by
-enumeration, and the difference graph and subgraph reversal edge by edge.  Others keep the plain forms of searches the library now
-prunes or speeds up: the canonical refinement tree, whole or orbit-pruned,
-over the plain refinement step (every signature rebuilt from the bitmasks
-each round, in-colors always included) and the plain leaf value (all p^2
-pairs), the simple-path DFS without its dead-end memory, the one-sided
-interchange BFS with its own 3-cycle listing, the per-step descent
-planner that re-solves the span after every move, and the span branch and
-bound that files each cycle under every one of its edges and tests each
-child after the call.
+enumeration, and the difference graph and subgraph reversal edge by edge.
+Game-subset families come from a scan of every mask.  Others keep the plain
+forms of searches the library now prunes or speeds up: the canonical
+refinement tree, whole or orbit-pruned, over the plain refinement step
+(every signature rebuilt from the bitmasks each round, in-colors always
+included) and the plain leaf value (all p^2 pairs), the simple-path DFS
+without its dead-end memory, the one-sided interchange BFS with its own
+3-cycle listing, the per-step descent planner that re-solves the span after
+every move, and the span branch and bound that files each cycle under every
+one of its edges and tests each child after the call.
 """
 
 import random
@@ -599,3 +600,17 @@ def oracle_parity_bipartition(p: int):
         diff = sum(1 for (i, j) in g.edges() if base.has_edge(j, i))
         (even if diff % 2 == 0 else odd).append(g)
     return even, odd
+
+
+def oracle_game_subsets(G, keep) -> list:
+    """Masks of the full game subsets of G whose element set satisfies
+    `keep`, ascending: a scan over every mask on G \\ {e}."""
+    half = (G.m - 1) // 2
+    out = []
+    for mask in range(0, 1 << G.m, 2):
+        if bin(mask).count("1") != half:
+            continue
+        elems = frozenset(_set_bits(mask))
+        if all(G.inverse(e) not in elems for e in elems) and keep(elems):
+            out.append(mask)
+    return out

@@ -276,6 +276,12 @@ class TestExitCodes:
         (["groups", "subsets", "--semidirect", "3,7"], "UsageError"),
         (["analyze", "sep", "GAME", "--t0", "0,99"], "VertexOutOfRange"),
         (["analyze", "sep", "GAME", "--t0", "-1"], "VertexOutOfRange"),
+        (["gen", "group", "--cyclic", "7", "--subset", "-1"], "NotGameSubset"),
+        (["gen", "group", "--cyclic", "7", "--subset", "1,1,1,3"], "NotGameSubset"),
+        (["groups", "subsets", "--cyclic", "35"], "TooLarge"),
+        (["groups", "pair-subsets", "--cyclic", "35", "--subgroup", "0"], "TooLarge"),
+        (["groups", "explore-aut", "35"], "TooLarge"),
+        (["groups", "explore-iso-families", "35"], "TooLarge"),
     ])
     def test_bad_arguments_are_domain_errors(self, tmp_path, capsys, c3, argv, error):
         src = tmp_path / "c3.game"

@@ -48,6 +48,7 @@ from gamegraphs.errors import (
     NotReducible,
     NotSteiner,
     SepExhausted,
+    TooLarge,
     TooSmall,
 )
 from gamegraphs.eulerian import span, steiner_decomposition
@@ -559,6 +560,17 @@ class TestSep:
         for mask in range(8):
             sub = [v for v in range(3) if (mask >> v) & 1]
             assert has_sep(s2, sub).ok
+
+    def test_saturate_fits_the_vertex_ceiling(self):
+        # 5 + 2^5 = 37 vertices fit; 6 + 2^6 = 70 do not, and the check runs
+        # before the O(4^s) row loop (minutes at s = 16)
+        t5 = standard_order(5)
+        s, labels = saturate(t5)
+        assert s.p == 37 and len(labels) == 32
+        assert restrict(s, range(5))[0] == t5
+        for size in (6, 16):
+            with pytest.raises(TooLarge):
+                saturate(standard_order(size))
 
     def test_saturation_restriction_identity(self, c3):
         s, labels = saturate(c3)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,10 @@ from gamegraphs.errors import (
     NotGameSubset,
     NotPairSubset,
     NotSubgroup,
+    ParseError,
+    TooLarge,
 )
+from gamegraphs import groups
 from gamegraphs.groups import (
     FiniteGroup,
     GameSubset,
@@ -28,6 +32,7 @@ from gamegraphs.groups import (
     group_game,
     h_invariant_subsets,
     is_fermat_square_free,
+    is_pair_game_subset,
     isomorphic_subset_family,
     lex_factorization_check,
     multiplication_map,
@@ -45,6 +50,8 @@ from gamegraphs.groups import (
     units,
 )
 from gamegraphs.morph import are_isomorphic, automorphisms
+
+from conftest import oracle_game_subsets
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -154,10 +161,97 @@ class TestGameSubsets:
         with pytest.raises(NotGameSubset):
             GameSubset(z7, [1, 6, 2])
 
+    def test_element_list_in_range_and_distinct(self):
+        # every list of four elements of Z7 with a repeat or an outsider
+        z7 = cyclic_group(7)
+        assert GameSubset(z7, [1, 2, 3]).mask == 0b1110
+        for elems in product(range(-1, 8), repeat=4):
+            if len(set(elems)) < 4 or not all(0 <= e < 7 for e in elems):
+                with pytest.raises(NotGameSubset):
+                    GameSubset(z7, elems)
+
     def test_subset_text_round_trip(self):
         z9 = cyclic_group(9)
         A = GameSubset(z9, [1, 3, 4, 7])
         assert parse_subset(serialize_subset(A), z9) == A
+
+    @pytest.mark.parametrize("text", ["subset x 0110100", "subset 7", "set 7 0110100", "subset 7 01101"])
+    def test_bad_subset_text(self, text):
+        with pytest.raises(ParseError):
+            parse_subset(text, cyclic_group(7))
+
+
+def _generated(gens, mult, one):
+    """The subgroup the gens generate: products of gens until closed."""
+    out, frontier = {one}, [one]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = mult(g, x)
+            if y not in out:
+                out.add(y)
+                frontier.append(y)
+    return frozenset(out)
+
+
+def _two_generated(elems, mult, one):
+    """Every subgroup generated by at most two of elems; for the groups
+    below that is every subgroup."""
+    return {_generated((a, b), mult, one) for a in elems for b in elems}
+
+
+_ORACLE_GROUPS = {
+    "Z7": cyclic_group(7),
+    "Z9": cyclic_group(9),
+    "Z15": cyclic_group(15),
+    "Z3xZ3": direct_product(cyclic_group(3), cyclic_group(3)),
+}
+
+
+class TestOneEnumerator:
+    """Each family against a scan of every mask for its defining property."""
+
+    @pytest.mark.parametrize("name", _ORACLE_GROUPS)
+    def test_families_match_the_oracle(self, name):
+        G = _ORACLE_GROUPS[name]
+
+        def masks(family):
+            return [A.mask for A in family]
+
+        assert masks(enumerate_game_subsets(G)) == oracle_game_subsets(G, lambda A: True)
+        subgroups = _two_generated(range(G.m), G.mult, 0)
+        for H in subgroups:
+            def closed(A, H=H):
+                return all(G.mult(G.mult(h1, i), h2) in A for i in A - H for h1 in H for h2 in H)
+
+            family = pair_game_subsets(G, H)
+            assert masks(family) == oracle_game_subsets(G, closed)
+            assert all(is_pair_game_subset(G, H, A) for A in family)
+        odd = [xi for xi in group_automorphisms(G) if xi.order() % 2]
+        aut_subgroups = [
+            H for H in _two_generated(odd, Permutation.compose, Permutation.identity(G.m))
+            if len(H) % 2
+        ]
+        for H in aut_subgroups:
+            def invariant(A, H=H):
+                return all(frozenset(xi(e) for e in A) == A for xi in H)
+
+            assert masks(h_invariant_subsets(G, H)) == oracle_game_subsets(G, invariant)
+        # the scans above reached every subgroup and every odd-order Aut subgroup
+        assert (len(subgroups), len(aut_subgroups)) == {
+            "Z7": (2, 2), "Z9": (3, 2), "Z15": (4, 1), "Z3xZ3": (6, 5),
+        }[name]
+
+    @pytest.mark.parametrize("family", [
+        enumerate_game_subsets,
+        lambda G: pair_game_subsets(G, [0]),
+        lambda G: h_invariant_subsets(G, [Permutation.identity(G.m)]),
+    ], ids=["all", "pair", "h_invariant"])
+    def test_budget_is_checked_before_building(self, monkeypatch, family):
+        z35 = cyclic_group(35)  # 17 inverse pairs: 2^17 subsets, over the 2^16 budget
+        monkeypatch.setattr(groups, "GameSubset", None)  # building one would fail
+        with pytest.raises(TooLarge):
+            family(z35)
 
 
 class TestGroupGame:
