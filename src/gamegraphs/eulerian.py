@@ -175,45 +175,114 @@ def _all_cycles(
     return cycles
 
 
+# the feedback order is an exact minimum up to this many vertices with
+# edges (a 2^k subset DP); above it any order still bounds the span
+_EXACT_ORDER = 16
+
+
+def _back_mask(d: Digraph, edges: list[tuple[int, int]]) -> tuple[list[int], int]:
+    """A vertex order of the vertices with edges and `back`, the edge-index
+    bitmask of the edges that run backward in it.
+
+    Every cycle leaves some vertex for an earlier one, so `back` is a
+    feedback arc set and no set of edge-disjoint cycles inside an edge mask
+    m is larger than popcount(m & back).  Up to _EXACT_ORDER vertices the
+    order minimises the backward count tau by a DP over the placed set S
+    (placing v after S costs popcount(rows[v] & S), ties to the least v);
+    above it the order is the identity.
+    """
+    verts = [v for v in range(d.p) if d.rows[v]]
+    if len(verts) > _EXACT_ORDER:
+        return verts, sum(1 << k for k, (u, v) in enumerate(edges) if u > v)
+    local = {v: i for i, v in enumerate(verts)}
+    rows = [sum(1 << local[w] for w in _bits(d.rows[v])) for v in verts]
+    full = (1 << len(verts)) - 1
+    cost = [0] * (full + 1)
+    last = [0] * (full + 1)
+    for s in range(1, full + 1):
+        best_c, best_v, m = len(edges) + 1, 0, s
+        while m:
+            b = m & -m
+            v = b.bit_length() - 1
+            c = cost[s ^ b] + (rows[v] & s).bit_count()
+            if c < best_c:
+                best_c, best_v = c, v
+            m ^= b
+        cost[s], last[s] = best_c, best_v
+    eidx = {e: k for k, e in enumerate(edges)}
+    order: list[int] = []
+    back, s = 0, full
+    while s:
+        v = last[s]
+        s ^= 1 << v
+        order.append(verts[v])
+        for u in _bits(rows[v] & s):
+            back |= 1 << eidx[(verts[v], verts[u])]
+    order.reverse()
+    return order, back
+
+
 def span(d: Digraph, node_budget: int = 50_000_000, cycle_budget: int = 2_000_000) -> DecompReport:
     """Exact maximum decomposition by branch and bound.
 
     The search starts from the 3-cycle-first greedy decomposition of
-    `span_lower_bound`, whose size lb is a lower bound on the span.  Only
-    cycles of length at most max(3, edges - 3*lb) are listed (cycle_budget
-    caps how many): a decomposition into k >= lb + 1 cycles has k - 1 others
-    of length >= 3 beside any one cycle, so none of its cycles is longer
-    than edges - 3*(k - 1) <= edges - 3*lb, and no decomposition that beats
-    the greedy one needs a longer cycle.
+    `span_lower_bound`, whose size lb is a lower bound on the span.  Two
+    upper bounds close it: floor(edges/3), and tau, the number of edges that
+    run backward in the vertex order of `_back_mask`, since every cycle uses
+    a backward edge.  When lb meets min(floor(edges/3), tau), the greedy
+    decomposition is certified maximum at the root, before any cycle is
+    listed; the order is checked to be a permutation of the vertices with
+    edges and `back` to hold exactly its tau backward edges, else
+    InvariantViolation.  (On C_p for p = 11, 13, 15 the greedy reaches
+    n(n+1)/2, the tau of the natural order, so the root certifies
+    beta = n^2.)
+
+    Otherwise only cycles of length at most max(3, edges - 3*lb) are listed
+    (cycle_budget caps how many): a decomposition into k >= lb + 1 cycles
+    has k - 1 others of length >= 3 beside any one cycle, so none of its
+    cycles is longer than edges - 3*(k - 1) <= edges - 3*lb, and no
+    decomposition that beats the greedy one needs a longer cycle.
 
     Branches over the listed cycles through the lexicographically least
     uncovered edge, shortest cycles first (ties by vertex sequence), pruning
-    a branch when taken + floor(remaining/3) cannot beat the best
-    decomposition found so far.  Each cycle is filed once, under its own
-    least edge: every edge below the least uncovered one is covered, so a
-    cycle through that edge fits only if the edge is its least, and the
-    list for it holds exactly the cycles that can fit, in the same order.
-    A node tests each fitting child (leaf, bound, memo) before the call, so
-    only surviving children recurse; the root and every fitting child count
-    one node against node_budget.  When no decomposition beats the greedy
-    one, the witness is the greedy decomposition itself.  The witness is
-    checked to cover the edges disjointly with span cycles before return.
+    a child when taken + min(floor(remaining/3), backward edges remaining)
+    cannot beat the best decomposition found so far; the bound depends only
+    on the child, so pruning never changes which leaf first improves on
+    the best.  Each cycle is filed once, under its own least edge: every
+    edge below the least uncovered one is covered, so a cycle through that
+    edge fits only if the edge is its least, and the list for it holds
+    exactly the cycles that can fit, in the same order.  A node tests each
+    fitting child (leaf, bound, memo) before the call, so only surviving
+    children recurse; the root and every fitting child count one node
+    against node_budget.  When no decomposition beats the greedy one, the
+    witness is the greedy decomposition itself.  The witness is checked to
+    cover the edges disjointly with span cycles before return.
     """
     lower = span_lower_bound(d)
     ne, best = lower.edge_count, lower.span
     if ne == 0:
         return lower
+    nodes = 1  # the root
+    if nodes > node_budget:
+        raise BudgetExceeded(f"span search exceeded {node_budget} nodes")
     edges = d.edges()
+    if ne // 3 <= best:
+        return _checked_report(edges, best, lower.witness)
+    order, back = _back_mask(d, edges)
+    pos = {v: k for k, v in enumerate(order)}
+    if sorted(order) != [v for v in range(d.p) if d.rows[v]]:
+        raise InvariantViolation("feedback order is not a permutation of the vertices with edges")
+    if back != sum(1 << k for k, (u, v) in enumerate(edges) if pos[u] > pos[v]):
+        raise InvariantViolation("feedback mask is not the tau backward edges of its order")
+    if back.bit_count() <= best:
+        return _checked_report(edges, best, lower.witness)
     cycles = _all_cycles(d.p, edges, cycle_budget, max(3, ne - 3 * best))
     through: list[list[tuple[int, int, int]]] = [[] for _ in range(ne)]
     for ci, (length, _, mask) in enumerate(cycles):
         through[(mask & -mask).bit_length() - 1].append((length, mask, ci))
     full = (1 << ne) - 1
     best_stack: Optional[tuple[int, ...]] = None
-    seen: dict[int, int] = {}
-    nodes = 1  # the root
-    if nodes > node_budget:
-        raise BudgetExceeded(f"span search exceeded {node_budget} nodes")
+    seen: dict[int, int] = {full: 0}
     stack: list[int] = []
 
     def rec(mask: int, cur: int, rem: int) -> None:
@@ -238,7 +307,9 @@ def span(d: Digraph, node_budget: int = 50_000_000, cycle_budget: int = 2_000_00
                     limit = rem - 3 * (best - cur)
                 continue
             left = rem - length
-            if nxt + left // 3 <= best or seen.get(child, -1) >= nxt:
+            if nxt + min(left // 3, (child & back).bit_count()) <= best:
+                continue
+            if seen.get(child, -1) >= nxt:
                 continue
             seen[child] = nxt
             stack.append(ci)
@@ -246,13 +317,20 @@ def span(d: Digraph, node_budget: int = 50_000_000, cycle_budget: int = 2_000_00
             stack.pop()
             limit = rem - 3 * (best - cur)
 
-    if ne // 3 > best:
-        seen[full] = 0
-        rec(full, 0, ne)
+    rec(full, 0, ne)
     if best_stack is None:
         witness = lower.witness
     else:
         witness = tuple(normalize_cycle(cycles[ci][1]) for ci in best_stack)
+    return _checked_report(edges, best, witness)
+
+
+def _checked_report(
+    edges: list[tuple[int, int]], best: int, witness: tuple[tuple[int, ...], ...]
+) -> DecompReport:
+    """The span report, once the witness is checked to cover the edges
+    disjointly with best cycles."""
+    ne = len(edges)
     covered = [e for cyc in witness for e in cycle_edges(cyc)]
     if len(witness) != best or len(covered) != ne or set(covered) != set(edges):
         raise InvariantViolation("span witness does not decompose the edges into span cycles")

@@ -1,7 +1,8 @@
 """Finite groups of odd order, game subsets, group games, and homogeneous games.
 
 Groups are bare Cayley tables with identity index 0; all the library-scale
-examples have order at most 27, so exhaustive validation is cheap.  A game
+examples have order at most 27, so exhaustive validation is cheap, and an
+order above MAX_VERTICES, which no game has, raises TooLarge.  A game
 subset A picks one element from each inverse pair, and its group game
 Gamma[A] has an edge i -> j exactly when i^-1 j lies in A.
 """
@@ -14,7 +15,7 @@ from itertools import product
 from math import gcd
 from typing import Iterable, Sequence
 
-from .core import Game, Permutation, _bits, from_rows, relabel, restrict
+from .core import MAX_VERTICES, Game, Permutation, _bits, from_rows, relabel, restrict
 from .errors import (
     BadAction,
     BadPrime,
@@ -32,6 +33,13 @@ from .errors import (
 from .morph import AutGroup, _orbit_roots, automorphisms
 
 
+def _check_order(m: int) -> None:
+    """A group game has one vertex per element, so no group of order above
+    MAX_VERTICES yields a game: refuse it before its table is built."""
+    if m > MAX_VERTICES:
+        raise TooLarge(f"group order {m} > {MAX_VERTICES}, the largest game")
+
+
 class FiniteGroup:
     """Group given by its Cayley table; element 0 is the identity."""
 
@@ -39,6 +47,7 @@ class FiniteGroup:
 
     def __init__(self, table: Sequence[Sequence[int]]):
         m = len(table)
+        _check_order(m)
         tab = tuple(tuple(row) for row in table)
         for row in tab:
             if len(row) != m or sorted(row) != list(range(m)):
@@ -90,12 +99,14 @@ class FiniteGroup:
 
 
 def cyclic_group(m: int) -> FiniteGroup:
+    _check_order(m)
     return FiniteGroup([[(i + j) % m for j in range(m)] for i in range(m)])
 
 
 def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     """Product group; element (i, j) gets index i*|G2| + j."""
     m1, m2 = g1.m, g2.m
+    _check_order(m1 * m2)
     tab = [[0] * (m1 * m2) for _ in range(m1 * m2)]
     for a1, a2, b1, b2 in product(range(m1), range(m2), range(m1), range(m2)):
         tab[a1 * m2 + a2][b1 * m2 + b2] = g1.mult(a1, b1) * m2 + g2.mult(a2, b2)
@@ -109,6 +120,7 @@ def semidirect_cyclic(q: int, p: int, a: int) -> FiniteGroup:
     """
     if gcd(a, p) != 1 or pow(a, q, p) != 1:
         raise BadAction(f"{a}^{q} != 1 mod {p}")
+    _check_order(q * p)
     tab = [[0] * (q * p) for _ in range(q * p)]
     for x1, y1, x2, y2 in product(range(q), range(p), range(q), range(p)):
         tab[x1 * p + y1][x2 * p + y2] = ((x1 + x2) % q) * p + (y1 * pow(a, x2, p) + y2) % p
@@ -302,8 +314,9 @@ def group_automorphisms(G: FiniteGroup) -> AutGroup:
     unit); other groups are brute-forced over bijections fixing the identity,
     capped at order 9.
     """
-    if G == cyclic_group(G.m):
-        perms = [multiplication_map(G.m, a) for a in units(G.m)] if G.m > 1 else [
+    m = G.m
+    if G.table == tuple(tuple((i + j) % m for j in range(m)) for i in range(m)):
+        perms = [multiplication_map(m, a) for a in units(m)] if m > 1 else [
             Permutation.identity(1)
         ]
         return AutGroup(tuple(sorted(perms, key=lambda q: q.image)))

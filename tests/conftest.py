@@ -213,8 +213,9 @@ def oracle_span(d: EdgeSet) -> int:
 def oracle_span_search(d) -> DecompReport:
     """The span branch and bound in its plain form: each cycle is filed
     under every edge it contains, the popcount is recomputed per node, and
-    every fitting child is entered before its leaf, bound and memo tests.
-    Same node order, memo and witness as `span`."""
+    every fitting child is entered before its leaf, bound and memo tests,
+    and the only bound is edges/3.  Same witness as `span`, whose extra
+    feedback-arc-set bound prunes only subtrees that cannot beat the best."""
     lower = span_lower_bound(d)
     ne, best = lower.edge_count, lower.span
     if ne == 0:

@@ -282,6 +282,8 @@ class TestExitCodes:
         (["groups", "pair-subsets", "--cyclic", "35", "--subgroup", "0"], "TooLarge"),
         (["groups", "explore-aut", "35"], "TooLarge"),
         (["groups", "explore-iso-families", "35"], "TooLarge"),
+        (["groups", "subsets", "--cyclic", "65"], "TooLarge"),
+        (["groups", "subsets", "--product", "9,9"], "TooLarge"),
     ])
     def test_bad_arguments_are_domain_errors(self, tmp_path, capsys, c3, argv, error):
         src = tmp_path / "c3.game"

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from gamegraphs.errors import (
     TooLarge,
 )
 from gamegraphs.eulerian import (
+    _back_mask,
     _simple_path,
     count_eulerian_subgraphs,
     cycle_decomposition,
@@ -56,9 +58,11 @@ SPAN17_GREEDY_16 = (186, 124, 121, 1488, 1504, 968, 1921, 1798, 1543, 31, 551)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# span's witness certificate must raise even when asserts are stripped: the
+# span's certificates must raise even when asserts are stripped: the
 # search's witness is broken by listing every cycle backwards (the masks,
-# and so the search, are unchanged), the greedy one by dropping a cycle.
+# and so the search, are unchanged), the greedy one by dropping a cycle;
+# the feedback order by naming a vertex twice, its backward-edge mask by
+# dropping one edge.
 _BROKEN_WITNESS = """
 import dataclasses
 from unittest import mock
@@ -69,7 +73,7 @@ from gamegraphs.errors import InvariantViolation
 
 if __debug__:
     raise SystemExit("asserts are live")
-all_cycles, lower_bound = eulerian._all_cycles, eulerian.span_lower_bound
+all_cycles, lower_bound, back_mask = eulerian._all_cycles, eulerian.span_lower_bound, eulerian._back_mask
 
 
 def backwards(*args):
@@ -81,10 +85,22 @@ def short(d):
     return dataclasses.replace(rep, witness=rep.witness[:-1])
 
 
+def repeated(d, edges):
+    order, back = back_mask(d, edges)
+    return order[:-1] + order[:1], back
+
+
+def dropped(d, edges):
+    order, back = back_mask(d, edges)
+    return order, back & (back - 1)
+
+
 ring = EdgeSet(9, [(i, (i + 1) % 9) for i in range(9)] + [(6, 3), (3, 0), (0, 6)])
 cases = [
     ("search", mock.patch.object(eulerian, "_all_cycles", backwards), ring),
     ("greedy", mock.patch.object(eulerian, "span_lower_bound", short), circulant(7, (1, 2, 3))),
+    ("order", mock.patch.object(eulerian, "_back_mask", repeated), ring),
+    ("mask", mock.patch.object(eulerian, "_back_mask", dropped), ring),
 ]
 for name, patch, d in cases:
     with patch:
@@ -265,15 +281,56 @@ class TestSpan:
             assert span_lower_bound(d).span == greedy_span
 
     @pytest.mark.parametrize("d, nodes", [
-        (circulant(9, (1, 2, 3, 4)), 6298),
-        (from_rows(11, SPAN17_GREEDY_16), 4068),
-    ], ids=["C9", "SPAN17_GREEDY_16"])
+        (circulant(9, (1, 2, 3, 4)), 1),
+        (from_rows(11, SPAN17_GREEDY_16), 117),
+        (from_rows(11, SPAN17_GREEDY_MAX), 1),
+    ], ids=["C9", "SPAN17_GREEDY_16", "SPAN17_GREEDY_MAX"])
     def test_node_count_pinned(self, d, nodes):
         # the root and every fitting child count one node, so a search that
-        # visits the same nodes completes at exactly this budget
+        # visits the same nodes completes at exactly this budget; a greedy
+        # decomposition certified at the root takes the root alone
         assert span(d, node_budget=nodes) == span(d)
         with pytest.raises(BudgetExceeded):
             span(d, node_budget=nodes - 1)
+
+    def test_span_at_most_backward_edges(self):
+        # every cycle leaves some vertex for an earlier one, so it uses an
+        # edge that runs backward in the order: span <= tau is a theorem
+        rng = random.Random(17)
+        graphs = [random_eulerian_edgeset(p, rng, rng.randint(2, 8)) for p in (7, 8, 9) for _ in range(12)]
+        c11 = circulant(11, range(1, 6))
+        graphs += [disjoint_walk(c11, steps, random.Random(seed)) for steps in (2, 3, 4) for seed in (0, 1)]
+        # some with more than 16 vertices on edges, where the order is the identity
+        graphs += [random_eulerian_edgeset(20, rng, rng.randint(2, 4)) for _ in range(8)]
+        for d in graphs:
+            if d.edge_count():
+                _, back = _back_mask(d, d.edges())
+                assert span(d).span <= back.bit_count()
+
+    def test_feedback_order_is_a_minimum(self):
+        # the subset DP against every order of the vertices with edges
+        rng = random.Random(19)
+        for p in (5, 6, 7):
+            for _ in range(4):
+                d = random_eulerian_edgeset(p, rng, tries=6)
+                edges = d.edges()
+                order, back = _back_mask(d, edges)
+                verts = sorted({v for e in edges for v in e})
+                assert sorted(order) == verts
+                tau_min = min(
+                    sum(perm.index(u) > perm.index(v) for (u, v) in edges) for perm in permutations(verts)
+                )
+                assert back.bit_count() == tau_min
+
+    @pytest.mark.parametrize("p", [11, 13, 15])
+    def test_initial_circulant_balance_is_n_squared(self, p):
+        # the greedy finds n(n+1)/2 cycles, as many as the natural order has
+        # backward edges: certified at the root, before any cycle is listed
+        n = (p - 1) // 2
+        d = circulant(p, range(1, n + 1))
+        rep = span(d, node_budget=1, cycle_budget=0)
+        assert rep.span == n * (n + 1) // 2 and rep.balance == n * n
+        check_decomposition(d, rep.witness)
 
     @pytest.mark.parametrize("seed, p, tries", [(5, 7, 3), (9, 7, 4), (21, 8, 30), (1, 9, 5)])
     def test_same_report_as_plain_search_on_seeded_digraphs(self, seed, p, tries):
@@ -301,7 +358,7 @@ class TestSpan:
             env=env, capture_output=True, text=True, timeout=60,
         )
         assert out.returncode == 0, out.stderr
-        assert out.stdout.split() == ["search", "greedy"]
+        assert out.stdout.split() == ["search", "greedy", "order", "mask"]
 
     def test_cycle_budget_counts_the_capped_list(self):
         # greedy 16 caps cycle length at 55 - 48 = 7: 5732 cycles are listed,

@@ -124,6 +124,23 @@ class TestConstructors:
         G = semidirect_cyclic(3, 7, 2)
         assert parse_group(serialize_group(G)) == G
 
+    @pytest.mark.parametrize("build", [
+        lambda: cyclic_group(65),
+        lambda: cyclic_group(10 ** 6),
+        lambda: direct_product(cyclic_group(63), cyclic_group(63)),
+        lambda: semidirect_cyclic(5, 31, 2),
+        lambda: semidirect_cyclic(1, 10 ** 6 + 3, 1),
+        lambda: FiniteGroup([[(i + j) % 65 for j in range(65)] for i in range(65)]),
+    ], ids=["Z65", "Z1000000", "Z63xZ63", "Z5xZ31", "Z1xZ1000003", "table65"])
+    def test_order_above_the_largest_game_is_too_large(self, build):
+        # the orders of 10^6 and 63^2 would take minutes to tabulate: the
+        # check comes before the table
+        with pytest.raises(TooLarge):
+            build()
+
+    def test_largest_game_order_is_built(self):
+        assert cyclic_group(64).m == 64
+
 
 class TestArithmetic:
     def test_phi_values(self):
@@ -304,6 +321,30 @@ class TestGroupAutomorphisms:
 
     def test_z3xz3_gl23(self):
         assert group_automorphisms(direct_product(cyclic_group(3), cyclic_group(3))).order == 48
+
+    def test_standard_cyclic_table_is_read_in_place(self, monkeypatch):
+        z63 = cyclic_group(63)
+        monkeypatch.setattr(groups, "cyclic_group", None)  # building another would fail
+        ga = group_automorphisms(z63)
+        assert ga.perms == tuple(multiplication_map(63, a) for a in units(63))
+
+    def test_relabelled_cyclic_table_is_searched(self):
+        # Z7 with 1 and 2 swapped: cyclic, but not the standard table, so its
+        # automorphisms are the unit maps conjugated by the swap
+        swap = Permutation([0, 2, 1, 3, 4, 5, 6])
+        z7 = cyclic_group(7)
+        G = FiniteGroup([[swap(z7.mult(swap(i), swap(j))) for j in range(7)] for i in range(7)])
+        want = {swap.compose(multiplication_map(7, a)).compose(swap) for a in units(7)}
+        ga = group_automorphisms(G)
+        assert set(ga.perms) == want != set(group_automorphisms(z7).perms)
+        # past the brute-force cap a non-standard table is refused, not
+        # mistaken for the standard one
+        swap11 = Permutation([0, 2, 1] + list(range(3, 11)))
+        z11 = cyclic_group(11)
+        with pytest.raises(TooLarge):
+            group_automorphisms(
+                FiniteGroup([[swap11(z11.mult(swap11(i), swap11(j))) for j in range(11)] for i in range(11)])
+            )
 
 
 class TestIsomorphicSubsetFamily:
