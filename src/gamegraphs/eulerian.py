@@ -176,31 +176,35 @@ def _all_cycles(
 
 
 # the feedback order is an exact minimum up to this many vertices with
-# edges (a 2^k subset DP); above it any order still bounds the span
-_EXACT_ORDER = 16
+# edges; above it any order still bounds the span.  In pure Python the
+# 2^k subset DP costs about 2 ms at 11 vertices (the span11 games) but
+# 0.1-0.2 s at 16, where the search on sparse Eulerian digraphs takes
+# well under 5 ms without it.
+_EXACT_ORDER = 11
 
 
-def _back_mask(d: Digraph, edges: list[tuple[int, int]]) -> tuple[list[int], int]:
-    """A vertex order of the vertices with edges and `back`, the edge-index
-    bitmask of the edges that run backward in it.
+def _feedback_order(d: Digraph) -> tuple[list[int], int]:
+    """A vertex order of the vertices with edges and tau, the number of
+    edges that run backward in it.
 
-    Every cycle leaves some vertex for an earlier one, so `back` is a
-    feedback arc set and no set of edge-disjoint cycles inside an edge mask
-    m is larger than popcount(m & back).  Up to _EXACT_ORDER vertices the
-    order minimises the backward count tau by a DP over the placed set S
-    (placing v after S costs popcount(rows[v] & S), ties to the least v);
-    above it the order is the identity.
+    Every cycle leaves some vertex for an earlier one, so the backward
+    edges form a feedback arc set and no set of edge-disjoint cycles among
+    some edges is larger than the backward edges among them.  Up to
+    _EXACT_ORDER vertices the order minimises tau by a DP over the placed
+    set S (placing v after S costs popcount(rows[v] & S), ties to the least
+    v); above it the order is the identity.
     """
     verts = [v for v in range(d.p) if d.rows[v]]
     if len(verts) > _EXACT_ORDER:
-        return verts, sum(1 << k for k, (u, v) in enumerate(edges) if u > v)
+        return verts, sum((d.rows[v] & ((1 << v) - 1)).bit_count() for v in verts)
     local = {v: i for i, v in enumerate(verts)}
     rows = [sum(1 << local[w] for w in _bits(d.rows[v])) for v in verts]
     full = (1 << len(verts)) - 1
     cost = [0] * (full + 1)
     last = [0] * (full + 1)
+    worst = sum(r.bit_count() for r in rows)
     for s in range(1, full + 1):
-        best_c, best_v, m = len(edges) + 1, 0, s
+        best_c, best_v, m = worst + 1, 0, s
         while m:
             b = m & -m
             v = b.bit_length() - 1
@@ -209,17 +213,13 @@ def _back_mask(d: Digraph, edges: list[tuple[int, int]]) -> tuple[list[int], int
                 best_c, best_v = c, v
             m ^= b
         cost[s], last[s] = best_c, best_v
-    eidx = {e: k for k, e in enumerate(edges)}
     order: list[int] = []
-    back, s = 0, full
+    s = full
     while s:
-        v = last[s]
-        s ^= 1 << v
-        order.append(verts[v])
-        for u in _bits(rows[v] & s):
-            back |= 1 << eidx[(verts[v], verts[u])]
+        order.append(verts[last[s]])
+        s ^= 1 << last[s]
     order.reverse()
-    return order, back
+    return order, cost[full]
 
 
 def span(d: Digraph, node_budget: int = 50_000_000, cycle_budget: int = 2_000_000) -> DecompReport:
@@ -228,11 +228,11 @@ def span(d: Digraph, node_budget: int = 50_000_000, cycle_budget: int = 2_000_00
     The search starts from the 3-cycle-first greedy decomposition of
     `span_lower_bound`, whose size lb is a lower bound on the span.  Two
     upper bounds close it: floor(edges/3), and tau, the number of edges that
-    run backward in the vertex order of `_back_mask`, since every cycle uses
-    a backward edge.  When lb meets min(floor(edges/3), tau), the greedy
-    decomposition is certified maximum at the root, before any cycle is
-    listed; the order is checked to be a permutation of the vertices with
-    edges and `back` to hold exactly its tau backward edges, else
+    run backward in the vertex order of `_feedback_order`, since every cycle
+    uses a backward edge.  When lb meets min(floor(edges/3), tau), the
+    greedy decomposition is certified maximum at the root, before any cycle
+    is listed; the order is checked to be a permutation of the vertices
+    with edges and to have exactly tau backward edges, else
     InvariantViolation.  (On C_p for p = 11, 13, 15 the greedy reaches
     n(n+1)/2, the tau of the natural order, so the root certifies
     beta = n^2.)
@@ -268,13 +268,14 @@ def span(d: Digraph, node_budget: int = 50_000_000, cycle_budget: int = 2_000_00
     edges = d.edges()
     if ne // 3 <= best:
         return _checked_report(edges, best, lower.witness)
-    order, back = _back_mask(d, edges)
-    pos = {v: k for k, v in enumerate(order)}
+    order, tau = _feedback_order(d)
     if sorted(order) != [v for v in range(d.p) if d.rows[v]]:
         raise InvariantViolation("feedback order is not a permutation of the vertices with edges")
-    if back != sum(1 << k for k, (u, v) in enumerate(edges) if pos[u] > pos[v]):
-        raise InvariantViolation("feedback mask is not the tau backward edges of its order")
-    if back.bit_count() <= best:
+    pos = {v: k for k, v in enumerate(order)}
+    back = sum(1 << k for k, (u, v) in enumerate(edges) if pos[u] > pos[v])
+    if back.bit_count() != tau:
+        raise InvariantViolation(f"feedback order has {back.bit_count()} backward edges, not tau = {tau}")
+    if tau <= best:
         return _checked_report(edges, best, lower.witness)
     cycles = _all_cycles(d.p, edges, cycle_budget, max(3, ne - 3 * best))
     through: list[list[tuple[int, int, int]]] = [[] for _ in range(ne)]
@@ -307,7 +308,7 @@ def span(d: Digraph, node_budget: int = 50_000_000, cycle_budget: int = 2_000_00
                     limit = rem - 3 * (best - cur)
                 continue
             left = rem - length
-            if nxt + min(left // 3, (child & back).bit_count()) <= best:
+            if nxt + left // 3 <= best or nxt + (child & back).bit_count() <= best:
                 continue
             if seen.get(child, -1) >= nxt:
                 continue

@@ -2,9 +2,9 @@
 
 Groups are bare Cayley tables with identity index 0; all the library-scale
 examples have order at most 27, so exhaustive validation is cheap, and an
-order above MAX_VERTICES, which no game has, raises TooLarge.  A game
-subset A picks one element from each inverse pair, and its group game
-Gamma[A] has an edge i -> j exactly when i^-1 j lies in A.
+order above _ORDER_LIMIT, whose table would take seconds to check, raises
+TooLarge.  A game subset A picks one element from each inverse pair, and
+its group game Gamma[A] has an edge i -> j exactly when i^-1 j lies in A.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from itertools import product
 from math import gcd
 from typing import Iterable, Sequence
 
-from .core import MAX_VERTICES, Game, Permutation, _bits, from_rows, relabel, restrict
+from .core import Game, Permutation, _bits, from_rows, relabel, restrict
 from .errors import (
     BadAction,
     BadPrime,
@@ -33,11 +33,18 @@ from .errors import (
 from .morph import AutGroup, _orbit_roots, automorphisms
 
 
+# FiniteGroup checks associativity on all m^3 triples: about 1.6 s at
+# order 255 in pure Python (2-core VM).  A group game has at most
+# MAX_VERTICES elements, but a larger group still yields smaller games, as
+# a quotient G/H or as the cyclic group of an automorphism acting on an
+# orbit (an automorphism of a 29-vertex game can have order 77).
+_ORDER_LIMIT = 255
+
+
 def _check_order(m: int) -> None:
-    """A group game has one vertex per element, so no group of order above
-    MAX_VERTICES yields a game: refuse it before its table is built."""
-    if m > MAX_VERTICES:
-        raise TooLarge(f"group order {m} > {MAX_VERTICES}, the largest game")
+    """Refuse a group of order above _ORDER_LIMIT before its table is built."""
+    if m > _ORDER_LIMIT:
+        raise TooLarge(f"group order {m} > {_ORDER_LIMIT}: its m^3 table check is past the budget")
 
 
 class FiniteGroup:
@@ -586,8 +593,12 @@ def parse_group(text: str) -> FiniteGroup:
         raise ParseError("missing 'group <m>' header")
     try:
         m = int(lines[0].split()[1])
-        rows = [[int(x) for x in ln.split()] for ln in lines[1 : m + 1]]
     except (ValueError, IndexError):
+        raise ParseError("malformed group table")
+    _check_order(m)
+    try:
+        rows = [[int(x) for x in ln.split()] for ln in lines[1 : m + 1]]
+    except ValueError:
         raise ParseError("malformed group table")
     if len(rows) != m:
         raise ParseError(f"expected {m} table rows")

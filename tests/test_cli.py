@@ -284,6 +284,8 @@ class TestExitCodes:
         (["groups", "explore-iso-families", "35"], "TooLarge"),
         (["groups", "subsets", "--cyclic", "65"], "TooLarge"),
         (["groups", "subsets", "--product", "9,9"], "TooLarge"),
+        (["groups", "subsets", "--cyclic", "5000"], "TooLarge"),
+        (["groups", "subsets", "--product", "63,63"], "TooLarge"),
     ])
     def test_bad_arguments_are_domain_errors(self, tmp_path, capsys, c3, argv, error):
         src = tmp_path / "c3.game"

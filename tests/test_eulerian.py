@@ -20,7 +20,7 @@ from gamegraphs.errors import (
     TooLarge,
 )
 from gamegraphs.eulerian import (
-    _back_mask,
+    _feedback_order,
     _simple_path,
     count_eulerian_subgraphs,
     cycle_decomposition,
@@ -61,8 +61,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # span's certificates must raise even when asserts are stripped: the
 # search's witness is broken by listing every cycle backwards (the masks,
 # and so the search, are unchanged), the greedy one by dropping a cycle;
-# the feedback order by naming a vertex twice, its backward-edge mask by
-# dropping one edge.
+# the feedback order by naming a vertex twice, its claimed tau by one more
+# than the order's backward edges.
 _BROKEN_WITNESS = """
 import dataclasses
 from unittest import mock
@@ -73,7 +73,7 @@ from gamegraphs.errors import InvariantViolation
 
 if __debug__:
     raise SystemExit("asserts are live")
-all_cycles, lower_bound, back_mask = eulerian._all_cycles, eulerian.span_lower_bound, eulerian._back_mask
+all_cycles, lower_bound, feedback_order = eulerian._all_cycles, eulerian.span_lower_bound, eulerian._feedback_order
 
 
 def backwards(*args):
@@ -85,22 +85,22 @@ def short(d):
     return dataclasses.replace(rep, witness=rep.witness[:-1])
 
 
-def repeated(d, edges):
-    order, back = back_mask(d, edges)
-    return order[:-1] + order[:1], back
+def repeated(d):
+    order, tau = feedback_order(d)
+    return order[:-1] + order[:1], tau
 
 
-def dropped(d, edges):
-    order, back = back_mask(d, edges)
-    return order, back & (back - 1)
+def overclaimed(d):
+    order, tau = feedback_order(d)
+    return order, tau + 1
 
 
 ring = EdgeSet(9, [(i, (i + 1) % 9) for i in range(9)] + [(6, 3), (3, 0), (0, 6)])
 cases = [
     ("search", mock.patch.object(eulerian, "_all_cycles", backwards), ring),
     ("greedy", mock.patch.object(eulerian, "span_lower_bound", short), circulant(7, (1, 2, 3))),
-    ("order", mock.patch.object(eulerian, "_back_mask", repeated), ring),
-    ("mask", mock.patch.object(eulerian, "_back_mask", dropped), ring),
+    ("order", mock.patch.object(eulerian, "_feedback_order", repeated), ring),
+    ("tau", mock.patch.object(eulerian, "_feedback_order", overclaimed), ring),
 ]
 for name, patch, d in cases:
     with patch:
@@ -300,12 +300,12 @@ class TestSpan:
         graphs = [random_eulerian_edgeset(p, rng, rng.randint(2, 8)) for p in (7, 8, 9) for _ in range(12)]
         c11 = circulant(11, range(1, 6))
         graphs += [disjoint_walk(c11, steps, random.Random(seed)) for steps in (2, 3, 4) for seed in (0, 1)]
-        # some with more than 16 vertices on edges, where the order is the identity
+        # some with more than 11 vertices on edges, where the order is the identity
         graphs += [random_eulerian_edgeset(20, rng, rng.randint(2, 4)) for _ in range(8)]
         for d in graphs:
             if d.edge_count():
-                _, back = _back_mask(d, d.edges())
-                assert span(d).span <= back.bit_count()
+                _, tau = _feedback_order(d)
+                assert span(d).span <= tau
 
     def test_feedback_order_is_a_minimum(self):
         # the subset DP against every order of the vertices with edges
@@ -314,13 +314,19 @@ class TestSpan:
             for _ in range(4):
                 d = random_eulerian_edgeset(p, rng, tries=6)
                 edges = d.edges()
-                order, back = _back_mask(d, edges)
+                order, tau = _feedback_order(d)
                 verts = sorted({v for e in edges for v in e})
                 assert sorted(order) == verts
+                assert tau == sum(order.index(u) > order.index(v) for (u, v) in edges)
                 tau_min = min(
                     sum(perm.index(u) > perm.index(v) for (u, v) in edges) for perm in permutations(verts)
                 )
-                assert back.bit_count() == tau_min
+                assert tau == tau_min
+
+    def test_feedback_order_is_the_identity_past_the_exact_size(self):
+        # the subset DP costs 2^k; past 11 vertices with edges the order is
+        # the identity, whose tau on C13 is 1 + 2 + ... + 6
+        assert _feedback_order(circulant(13, range(1, 7))) == (list(range(13)), 21)
 
     @pytest.mark.parametrize("p", [11, 13, 15])
     def test_initial_circulant_balance_is_n_squared(self, p):
@@ -358,7 +364,7 @@ class TestSpan:
             env=env, capture_output=True, text=True, timeout=60,
         )
         assert out.returncode == 0, out.stderr
-        assert out.stdout.split() == ["search", "greedy", "order", "mask"]
+        assert out.stdout.split() == ["search", "greedy", "order", "tau"]
 
     def test_cycle_budget_counts_the_capped_list(self):
         # greedy 16 caps cycle length at 55 - 48 = 7: 5732 cycles are listed,

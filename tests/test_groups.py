@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from gamegraphs.core import Game, Permutation, circulant, relabel, restrict, reverse
+from gamegraphs.core import Game, Permutation, circulant, from_rows, relabel, restrict, reverse
 from gamegraphs.errors import (
     BadAction,
     BadPrime,
@@ -125,21 +125,27 @@ class TestConstructors:
         assert parse_group(serialize_group(G)) == G
 
     @pytest.mark.parametrize("build", [
-        lambda: cyclic_group(65),
+        lambda: cyclic_group(257),
         lambda: cyclic_group(10 ** 6),
         lambda: direct_product(cyclic_group(63), cyclic_group(63)),
-        lambda: semidirect_cyclic(5, 31, 2),
+        lambda: semidirect_cyclic(3, 97, 35),
         lambda: semidirect_cyclic(1, 10 ** 6 + 3, 1),
-        lambda: FiniteGroup([[(i + j) % 65 for j in range(65)] for i in range(65)]),
-    ], ids=["Z65", "Z1000000", "Z63xZ63", "Z5xZ31", "Z1xZ1000003", "table65"])
-    def test_order_above_the_largest_game_is_too_large(self, build):
-        # the orders of 10^6 and 63^2 would take minutes to tabulate: the
-        # check comes before the table
+        lambda: FiniteGroup([[(i + j) % 257 for j in range(257)] for i in range(257)]),
+        lambda: parse_group("group 5000\n"),
+    ], ids=["Z257", "Z1000000", "Z63xZ63", "Z3xZ97", "Z1xZ1000003", "table257", "file5000"])
+    def test_order_above_the_limit_is_too_large(self, build):
+        # the orders of 10^6 and 63^2 would take hours to check: the check
+        # comes before the table
         with pytest.raises(TooLarge):
             build()
 
-    def test_largest_game_order_is_built(self):
-        assert cyclic_group(64).m == 64
+    def test_order_above_the_largest_game_is_built(self):
+        # Z75 has no group game, but its quotient by {0, 25, 50} is one on
+        # 25 vertices: A holds 25 and every element that is 1..12 mod 25
+        z75 = cyclic_group(75)
+        A = GameSubset(z75, [25] + [x for x in range(75) if 1 <= x % 25 <= 12])
+        q, cosets, _ = quotient_game(z75, [0, 25, 50], A)
+        assert q == circulant(25, range(1, 13)) and len(cosets) == 25
 
 
 class TestArithmetic:
@@ -569,6 +575,53 @@ class TestOrbitSubgame:
             rep.quotient == group_game(z7, B) for B in enumerate_game_subsets(z7)
         )
         assert ok
+
+    def test_automorphism_of_order_above_the_largest_game(self):
+        # blocks of 11, 11 and 7 on 29 vertices: xi has order 77, more than
+        # any game's vertex count, and acts on each block as a rotation
+        g, xi = _three_orbit_game(11, 7)
+        assert xi.order() == 77 and relabel(g, xi) == g
+        for a, block in ((0, range(11)), (11, range(11, 22)), (22, range(22, 29))):
+            rep = cyclic_action_subgame(g, xi, a)
+            assert rep.orbit == tuple(block)
+            assert relabel(rep.quotient, rep.witness) == rep.restriction
+
+    def test_automorphism_order_past_the_limit_is_too_large(self):
+        # blocks of 19, 19 and 15 on 53 vertices: order 285, refused before
+        # its cyclic group is tabulated
+        g, xi = _three_orbit_game(19, 15)
+        assert xi.order() == 285 and relabel(g, xi) == g
+        with pytest.raises(TooLarge):
+            cyclic_action_subgame(g, xi, 0)
+
+
+def _three_orbit_game(n: int, k: int) -> tuple[Game, Permutation]:
+    """A game on blocks A, B of n vertices and C of k < n, with the
+    automorphism that rotates each block, of order lcm(n, k).
+
+    Each block is a circulant; a_i -> b_j exactly when j - i mod n is below
+    (n - k)/2, A -> C and C -> B, so every vertex wins (2n + k - 1)/2.
+    """
+    p = 2 * n + k
+    rows = [0] * p
+    for base, size in ((0, n), (n, n), (2 * n, k)):
+        for i in range(size):
+            for d in range(1, (size + 1) // 2):
+                rows[base + i] |= 1 << (base + (i + d) % size)
+    for i in range(n):
+        for j in range(n):
+            if (j - i) % n < (n - k) // 2:
+                rows[i] |= 1 << (n + j)
+            else:
+                rows[n + j] |= 1 << i
+        for c in range(2 * n, p):
+            rows[i] |= 1 << c
+            rows[c] |= 1 << (n + i)
+    g = from_rows(p, rows)
+    assert isinstance(g, Game)
+    xi = Permutation([(i + 1) % n for i in range(n)] + [n + (i + 1) % n for i in range(n)]
+                     + [2 * n + (i + 1) % k for i in range(k)])
+    return g, xi
 
 
 class TestActionFacts:
