@@ -14,7 +14,11 @@ included) and the plain leaf value (all p^2 pairs), the simple-path DFS
 without its dead-end memory, the one-sided interchange BFS with its own
 3-cycle listing, the per-step descent planner that re-solves the span after
 every move, and the span branch and bound that files each cycle under every
-one of its edges and tests each child after the call.
+one of its edges and tests each child after the call.  The constructions
+keep their edge-by-edge forms: the double and its parts from edge lists,
+pointed realization and Eulerian completion that rebuild the graph after
+every reversed path, and the uniquely reducible extension found by testing
+every pair of every extension.
 """
 
 import random
@@ -615,3 +619,146 @@ def oracle_game_subsets(G, keep) -> list:
         if all(G.inverse(e) not in elems for e in elems) and keep(elems):
             out.append(mask)
     return out
+
+
+def oracle_double(t: Digraph) -> Game:
+    """The double 2t edge by edge: base 0, j- = 1+j, j+ = 1+n+j."""
+    n = t.p
+    edges = []
+    for j in range(n):
+        edges += [(0, 1 + j), (1 + n + j, 0), (1 + j, 1 + n + j)]
+    for (i, j) in t.edges():
+        edges += [(1 + i, 1 + j), (1 + n + i, 1 + n + j), (1 + n + j, 1 + i), (1 + j, 1 + n + i)]
+    return make_digraph(2 * n + 1, edges)
+
+
+def _oracle_double_parts(n: int) -> dict:
+    """Chart maps of the plus layer, the minus layer and the cross part of a
+    double on n source vertices, each sending a source edge (i, j) to the
+    edges it contributes."""
+    return {
+        "plus": lambda i, j: [(1 + n + i, 1 + n + j)],
+        "minus": lambda i, j: [(1 + i, 1 + j)],
+        "cross": lambda i, j: [(1 + n + j, 1 + i), (1 + j, 1 + n + i)],
+    }
+
+
+def oracle_double_part(t: Digraph, names) -> EdgeSet:
+    """The union of the named parts of 2t ("plus", "minus", "cross"), edge by edge."""
+    parts = _oracle_double_parts(t.p)
+    return EdgeSet(2 * t.p + 1, [e for name in names for (i, j) in t.edges() for e in parts[name](i, j)])
+
+
+def oracle_realize_pointed(gp: Digraph, gm: Digraph):
+    """Pointed realization rebuilding the game after every step: from the
+    double of gm, each difference edge in lexicographic order is closed into
+    a cycle by the shortest cross path (least-vertex tie break, found with
+    vertex sets) and the cycle is reversed edge by edge."""
+    n = gp.p
+    g = oracle_double(gm)
+    plus_set = {1 + n + j for j in range(n)}
+    cross = plus_set | {1 + j for j in range(n)}
+    diffs = sorted((i, j) for (i, j) in gm.edges() if gp.has_edge(j, i))
+    for (i, j) in diffs:
+        ip, jp = 1 + n + i, 1 + n + j
+        parent = {jp: -1}
+        frontier = [jp]
+        while ip not in parent:
+            if not frontier:
+                raise ValueError("no cross path")
+            nxt = []
+            for v in sorted(frontier):
+                for w in _set_bits(g.rows[v]):
+                    if w not in cross or w in parent or (v in plus_set) == (w in plus_set):
+                        continue
+                    parent[w] = v
+                    nxt.append(w)
+                    if w == ip:
+                        break
+                if ip in parent:
+                    break
+            frontier = nxt
+        path = [ip]
+        while parent[path[-1]] != -1:
+            path.append(parent[path[-1]])
+        path.reverse()
+        g = oracle_reverse_subgraph(g, EdgeSet(g.p, list(zip(path, path[1:])) + [(ip, jp)]))
+    return g
+
+
+def oracle_eulerian_to_game(d: Digraph, record=None) -> Digraph:
+    """Eulerian completion rebuilding the graph after every step: undecided
+    pairs i < j oriented i -> j, then, while some score exceeds n, the first
+    free (outside d) path found by BFS from an overweight vertex, ascending,
+    through balanced vertices to an underweight one is reversed edge by edge."""
+    p = d.p
+    n = (p - 1) // 2
+    rows = list(d.rows)
+    for i in range(p):
+        for j in range(i + 1, p):
+            if not (rows[i] >> j) & 1 and not (rows[j] >> i) & 1:
+                rows[i] |= 1 << j
+    g = from_rows(p, rows)
+
+    def deviation(t):
+        return sum(max(t.out_degree(i) - n, 0) for i in range(p))
+
+    if record is not None:
+        record.append(deviation(g))
+    while deviation(g) > 0:
+        over = [i for i in range(p) if g.out_degree(i) > n]
+        under = {i for i in range(p) if g.out_degree(i) < n}
+        middle = set(range(p)) - set(over) - under
+        path = None
+        for s in over:
+            parent = {s: -1}
+            frontier = [s]
+            while frontier and path is None:
+                nxt = []
+                for v in sorted(frontier):
+                    for w in _set_bits(g.rows[v]):
+                        if w in parent or d.has_edge(v, w):
+                            continue
+                        parent[w] = v
+                        if w in under:
+                            path = [w]
+                            while parent[path[-1]] != -1:
+                                path.append(parent[path[-1]])
+                            path.reverse()
+                            break
+                        if w in middle:
+                            nxt.append(w)
+                    if path:
+                        break
+                frontier = nxt
+            if path:
+                break
+        if path is None:
+            raise ValueError("no free over-to-under path")
+        g = oracle_reverse_subgraph(g, EdgeSet(p, list(zip(path, path[1:]))))
+        if record is not None:
+            record.append(deviation(g))
+    return g
+
+
+def oracle_extend(pi: Digraph, K) -> Digraph:
+    """The extension of pi via u -> v and K, edge by edge: u = p, v = p+1."""
+    p = pi.p
+    u, v = p, p + 1
+    edges = pi.edges() + [(u, v)]
+    for k in range(p):
+        edges += [(k, u), (v, k)] if k in K else [(u, k), (k, v)]
+    return make_digraph(p + 2, edges)
+
+
+def oracle_uniquely_reducible_extension(pi: Digraph):
+    """The extension by the lexicographically first K that leaves exactly one
+    reducible pair, found by testing every pair of every extension; None
+    when no K does."""
+    n = (pi.p + 1) // 2
+    for K in combinations(range(pi.p), n):
+        g = oracle_extend(pi, K)
+        pairs = [(a, b) for (a, b) in combinations(range(g.p), 2) if not g.rows[a] & g.rows[b]]
+        if len(pairs) == 1:
+            return g
+    return None

@@ -10,6 +10,7 @@ its stdout gets the count.  A sub-verb with no case here fails
 """
 
 import hashlib
+import random
 
 import pytest
 
@@ -17,9 +18,12 @@ from gamegraphs import cli
 from gamegraphs.core import serialize
 from gamegraphs.groups import cyclic_group, serialize_group
 
+from conftest import random_eulerian_edgeset, random_tournament
+
 # (argv with {input} placeholders, exit code, stdout, stderr head)
 CASES = [
     ('gen double {c3}', 0, 'sha256:d0a9d7da7b95d9a423700ad3ed9788aa336ecac1321719793889a7c179d463a4', ''),
+    ('gen complete {ed31}', 0, 'sha256:528df7f6d54bec752f97b8bda8ff8ae3eb0cf049b41e6f9674f88f2ac48c0fb0', ''),
     ('gen complete {ed9}', 0, 'sha256:e94bf76f9dc9fdd0489868f6b97888ca6d2678192531235d3f588b1e80f8bd63', ''),
     ('gen saturate {c3}', 0, 'sha256:5182e1b7e225aa9c145544d5ad348b07fc5f0a93f36a4b0ceceb38364fdb34e6', ''),
     ('gen lex {c3} {c3}', 0, 'sha256:3b27ffc2c71bb3eae86bb5a810651ebd42c21607d4d7a2ef37ec844dc5436fcd', ''),
@@ -28,6 +32,7 @@ CASES = [
     ('gen group --group-file {z7} --subset 1,2,4', 0, 'sha256:c3f2c4a5a4469b852e761f2e0b846badf9093bab79a5b15e5d750a84abb46340', ''),
     ('gen qr --prime 7', 0, 'sha256:c3f2c4a5a4469b852e761f2e0b846badf9093bab79a5b15e5d750a84abb46340', ''),
     ('gen realize {t3} {c3}', 0, 'sha256:2a357558b9c106513f44f4dacc573473f1a3948b0befc65b3395412d9817d6f9', ''),
+    ('gen realize {t15a} {t15b}', 0, 'sha256:fa00bcb4f4b01864dc571b6784714a874edc1b50aef357779887cf1da8793a2f', ''),
     ('gen random --size 7 --seed 5', 0, 'sha256:a4b3a15058c03483e142673e9c4a853969a693b71364faaeb194a100a6b536d9', ''),
     ('gen random --size 9 --seed 1', 0, 'sha256:55bd9c74b44af70e8c26a0f26ff2fa77b1326de69a5701c63cd6d4ba389384d4', ''),
     ('gen random --size 63 --seed 3 --steps 200', 0, 'sha256:0d3b0e61da26b4e77780d6a100850302e85288c78a344a1a542b3c5f4ee010d1', ''),
@@ -81,6 +86,9 @@ def inputs(tmp_path_factory, c3, g5, g7i, g7ii, g7iii, straddle, chorded_nine_ri
         "g7iii": serialize(g7iii),
         "t3": serialize(straddle),
         "ed9": serialize(chorded_nine_ring),
+        "ed31": serialize(random_eulerian_edgeset(31, random.Random(181), tries=12)),
+        "t15a": serialize(random_tournament(15, random.Random(191))),
+        "t15b": serialize(random_tournament(15, random.Random(193))),
         "z7": serialize_group(cyclic_group(7)),
         "plan": "r3 3 6 5\n",
     }

@@ -21,6 +21,7 @@ from gamegraphs.core import (
 from gamegraphs.construct import (
     double,
     double_cross_edges,
+    double_layer_edges,
     embed_in_game,
     eulerian_to_game,
     extend,
@@ -55,7 +56,19 @@ from gamegraphs.eulerian import span, steiner_decomposition
 from gamegraphs.morph import are_isomorphic, automorphisms, classify7
 from gamegraphs.reversal import reverse_subgraph
 
-from conftest import all_labeled_tournaments, random_eulerian_edgeset, standard_order
+from conftest import (
+    all_labeled_tournaments,
+    disjoint_walk,
+    oracle_double,
+    oracle_double_part,
+    oracle_eulerian_to_game,
+    oracle_realize_pointed,
+    oracle_reverse_subgraph,
+    oracle_uniquely_reducible_extension,
+    random_eulerian_edgeset,
+    random_tournament,
+    standard_order,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -692,3 +705,66 @@ class TestMiscLaws:
         assert mapped == delta
         gd = reverse_subgraph(g, delta)
         assert relabel(gd, rot) == gd
+
+
+class TestAgainstOracles:
+    """The builders against the edge-by-edge oracles of conftest on seeded
+    inputs: tournaments up to 31 vertices, Eulerian digraphs up to 63."""
+
+    def test_double_and_parts(self):
+        rng = random.Random(151)
+        for n in (0, 1, 2, 5, 12, 31):
+            t = random_tournament(n, rng)
+            g, lay = double(t)
+            assert isinstance(g, Game) and g == oracle_double(t)
+            assert double_cross_edges(lay) == oracle_double_part(t, ["cross"])
+            assert double_layer_edges(lay, +1) == oracle_double_part(t, ["plus"])
+            assert double_layer_edges(lay, -1) == oracle_double_part(t, ["minus"])
+
+    def test_realize_pointed(self):
+        rng = random.Random(157)
+        for n in (1, 2, 3, 4, 5, 7, 9, 12, 15, 20, 25, 31):
+            gp, gm = random_tournament(n, rng), random_tournament(n, rng)
+            g, _ = realize_pointed(gp, gm)
+            assert isinstance(g, Game) and g == oracle_realize_pointed(gp, gm)
+
+    def test_eulerian_to_game(self):
+        rng = random.Random(163)
+        for p in (3, 5, 7, 9, 11, 15, 21, 31, 45, 63):
+            for tries in (2, 30):
+                d = random_eulerian_edgeset(p, rng, tries=tries)
+                trace: list[int] = []
+                oracle_trace: list[int] = []
+                g = eulerian_to_game(d, record=trace)
+                assert isinstance(g, Game) and g == oracle_eulerian_to_game(d, oracle_trace)
+                assert trace == oracle_trace
+
+    def test_embed_in_game(self):
+        rng = random.Random(167)
+        for n in (2, 3, 6, 11, 16):
+            t = random_tournament(n, rng)
+            g, emb = embed_in_game(t)
+            full = oracle_realize_pointed(standard_order(n), t)
+            keep = [w for w in range(full.p) if w not in (0, 1 + n)]
+            assert g == restrict(full, keep)[0]
+            assert emb == [keep.index(1 + j) for j in range(n)]
+
+    def test_steiner_variants_and_nonreducible(self, c3, g7ii):
+        for pi in (c3, g7ii):
+            two = oracle_double(pi)
+            got = {v.name: v.game for v in steiner_variants(pi)}
+            assert list(got) == ["plus", "minus", "cross", "plus+minus", "plus+cross", "minus+cross"]
+            for name, game in got.items():
+                assert game == oracle_reverse_subgraph(two, oracle_double_part(pi, name.split("+")))
+            assert nonreducible_from(pi) == oracle_reverse_subgraph(two, oracle_double_part(pi, ["plus"]))
+
+    def test_uniquely_reducible_extension(self, c3, g5, g7ii):
+        rng = random.Random(173)
+        games = [c3, g7ii, double(c3)[0], disjoint_walk(g7ii, 2, rng), disjoint_walk(circulant(9, (1, 2, 3, 4)), 3, rng)]
+        for pi in games + [g5, circulant(9, (1, 2, 3, 4))]:
+            want = oracle_uniquely_reducible_extension(pi)
+            if want is None:
+                with pytest.raises(NotApplicable):
+                    uniquely_reducible_extension(pi)
+            else:
+                assert uniquely_reducible_extension(pi)[0] == want
