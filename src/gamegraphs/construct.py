@@ -15,7 +15,6 @@ from typing import Iterable, Optional, Sequence
 from .core import (
     MAX_VERTICES,
     Digraph,
-    EdgeSet,
     Game,
     Permutation,
     Tournament,
@@ -29,6 +28,7 @@ from .errors import (
     EvenSize,
     FiberCountMismatch,
     InvariantViolation,
+    NotApplicable,
     NotEulerian,
     NotReducible,
     NotSteiner,
@@ -39,7 +39,7 @@ from .errors import (
     VertexOutOfRange,
 )
 from .eulerian import steiner_decomposition
-from .reversal import reverse_subgraph
+from .reversal import _reverse_cycle, _reverse_path, reverse_subgraph
 
 
 # -- doubles --------------------------------------------------------------------
@@ -67,46 +67,36 @@ class DoubleLayout:
 
 
 def double(t: Tournament) -> tuple[Game, DoubleLayout]:
-    """The double 2t: a game on 2n+1 vertices, reducible via every pair (j-, j+)."""
+    """The double 2t: a game on 2n+1 vertices, reducible via every pair (j-, j+).
+
+    Row by row: i- beats its partner i+, the minus copy of its out-set in t
+    and the plus copy of its in-set; i+ beats the base, the plus copy of its
+    out-set and the minus copy of its in-set.
+    """
     n = t.p
-    p = 2 * n + 1
     lay = DoubleLayout(t)
-    rows = [0] * p
-    for j in range(n):
-        rows[0] |= 1 << lay.minus(j)
-        rows[lay.plus(j)] |= 1
-        rows[lay.minus(j)] |= 1 << lay.plus(j)
-    for i in range(n):
-        for j in _bits(t.rows[i]):
-            rows[lay.minus(i)] |= 1 << lay.minus(j)
-            rows[lay.plus(i)] |= 1 << lay.plus(j)
-            rows[lay.plus(j)] |= 1 << lay.minus(i)
-            rows[lay.minus(j)] |= 1 << lay.plus(i)
-    g = from_rows(p, rows)
-    assert isinstance(g, Game)
-    return g, lay
+    lo, hi = lay.minus(0), lay.plus(0)
+    rows = [((1 << n) - 1) << lo]
+    rows += [(1 << (hi + i)) | (t.rows[i] << lo) | (t.in_mask(i) << hi) for i in range(n)]
+    rows += [1 | (t.rows[i] << hi) | (t.in_mask(i) << lo) for i in range(n)]
+    return Game(2 * n + 1, rows), lay
 
 
 def double_cross_edges(lay: DoubleLayout) -> Digraph:
-    """X(2t): the bipartite edges between the two copies."""
-    n = lay.n
-    es = []
-    for i in range(n):
-        for j in _bits(lay.source.rows[i]):
-            es.append((lay.plus(j), lay.minus(i)))
-            es.append((lay.minus(j), lay.plus(i)))
-    return EdgeSet(2 * n + 1, es)
+    """X(2t): the bipartite edges between the two copies, j+ -> i- and j- -> i+ for i -> j."""
+    n, t = lay.n, lay.source
+    lo, hi = lay.minus(0), lay.plus(0)
+    rows = [0] + [t.in_mask(j) << hi for j in range(n)] + [t.in_mask(j) << lo for j in range(n)]
+    return Digraph(2 * n + 1, rows)
 
 
 def double_layer_edges(lay: DoubleLayout, sign: int) -> Digraph:
     """The copy of the source inside the minus (sign=-1) or plus (sign=+1) layer."""
     n = lay.n
-    off = lay.minus if sign < 0 else lay.plus
-    es = []
-    for i in range(n):
-        for j in _bits(lay.source.rows[i]):
-            es.append((off(i), off(j)))
-    return EdgeSet(2 * n + 1, es)
+    off = lay.minus(0) if sign < 0 else lay.plus(0)
+    rows = [0] * (2 * n + 1)
+    rows[off:off + n] = [r << off for r in lay.source.rows]
+    return Digraph(2 * n + 1, rows)
 
 
 # -- lexicographic products -------------------------------------------------------
@@ -157,14 +147,22 @@ def generalized_lex(gamma: Digraph, fibers: Sequence[Digraph]) -> tuple[Digraph,
 # -- extension and reduction -------------------------------------------------------
 
 
+def _k_vertices(pi: Game, K: Iterable[int]) -> tuple[int, ...]:
+    """K ascending, checked to be (p+1)/2 distinct vertices of pi."""
+    ks = tuple(sorted(K))
+    n = (pi.p + 1) // 2
+    if len(set(ks)) != len(ks):
+        raise BadK("K names a vertex twice")
+    if len(ks) != n or any(not 0 <= k < pi.p for k in ks):
+        raise BadK(f"K must be {n} existing vertices")
+    return ks
+
+
 def extend(pi: Game, K: Iterable[int]) -> tuple[Game, int, int]:
     """Extension via u -> v and K: new vertices u = p, v = p+1; K beats u,
     v beats K, u beats the rest, the rest beats v.  Returns (game, u, v)."""
     p = pi.p
-    n = (p + 1) // 2
-    ks = sorted(set(K))
-    if len(ks) != n or any(not 0 <= k < p for k in ks):
-        raise BadK(f"K must be {n} existing vertices")
+    ks = _k_vertices(pi, K)
     u, v = p, p + 1
     rows = [r for r in pi.rows] + [0, 0]
     kmask = sum(1 << k for k in ks)
@@ -175,9 +173,7 @@ def extend(pi: Game, K: Iterable[int]) -> tuple[Game, int, int]:
         rows[k] |= 1 << u
     for j in _bits(rest):
         rows[j] |= 1 << v
-    g = from_rows(p + 2, rows)
-    assert isinstance(g, Game)
-    return g, u, v
+    return Game(p + 2, rows), u, v
 
 
 def is_reducible_via(g: Game, u: int, v: int) -> bool:
@@ -192,7 +188,8 @@ def reduce_via(g: Game, u: int, v: int) -> tuple[Game, dict[int, int]]:
     if not is_reducible_via(g, u, v):
         raise NotReducible(f"{{{u},{v}}} is not a reducible pair")
     sub, index = restrict(g, [w for w in range(g.p) if w not in (u, v)])
-    assert isinstance(sub, Game)
+    if not isinstance(sub, Game):
+        raise InvariantViolation(f"removing the reducible pair {{{u},{v}}} leaves no game")
     return sub, index
 
 
@@ -208,13 +205,9 @@ class ReducibilityReport:
 
 
 def reducibility_graph(g: Game) -> ReducibilityReport:
-    es = [
-        (i, j)
-        for i in range(g.p)
-        for j in _bits(g.rows[i])
-        if is_reducible_via(g, i, j)
-    ]
-    edges = EdgeSet(g.p, es)
+    rows = [sum(1 << j for j in _bits(r) if is_reducible_via(g, i, j)) for i, r in enumerate(g.rows)]
+    edges = Digraph(g.p, rows)
+    es = edges.edges()
     if not es:
         return ReducibilityReport(edges, "empty", ())
     nxt = {i: j for (i, j) in es}
@@ -258,39 +251,48 @@ class PointedGame:
     Xi: Digraph
 
 
+def _other_side(g: Game, base: int) -> list[int]:
+    """Per vertex, the mask of the other side of the base: inputs for an
+    output of the base, outputs for an input, nothing for the base."""
+    plus, minus = g.in_mask(base), g.out_mask(base)
+    return [minus if (plus >> a) & 1 else plus if (minus >> a) & 1 else 0 for a in range(g.p)]
+
+
 def pointed_view(g: Game, base: int = 0) -> PointedGame:
     i_minus = g.out_set(base)
     i_plus = g.in_set(base)
     tp, pidx = restrict(g, i_plus)
     tm, midx = restrict(g, i_minus)
-    plus, minus = g.in_mask(base), g.out_mask(base)
-    other_side = [minus if (plus >> a) & 1 else plus if (minus >> a) & 1 else 0 for a in range(g.p)]
-    xi = Digraph(g.p, [r & m for r, m in zip(g.rows, other_side)])
+    xi = Digraph(g.p, [r & m for r, m in zip(g.rows, _other_side(g, base))])
     return PointedGame(g, base, i_plus, i_minus, tp, tm, pidx, midx, xi)
 
 
-def _xi_bfs_path(g: Digraph, plus_set: set[int], minus_set: set[int], src: int, dst: int) -> list[int]:
-    """Shortest path src..dst through cross edges only, least-vertex tie break."""
-    cross = plus_set | minus_set
+def _bfs_path(
+    rows: Sequence[int], allowed: Sequence[int], src: int, stop: int, through: int
+) -> Optional[list[int]]:
+    """Shortest path from src along edges v -> w with w in rows[v] & allowed[v]
+    to the first vertex found in the mask `stop`, expanding only the vertices
+    in the mask `through`.  The frontier and each successor set are scanned
+    in ascending order, so the least vertices win ties.  None when no path
+    exists."""
     parent = {src: -1}
+    seen = 1 << src
     frontier = [src]
     while frontier:
         nxt = []
         for v in sorted(frontier):
-            for w in _bits(g.rows[v]):
-                if w not in cross or w in parent:
-                    continue
-                if (v in plus_set) == (w in plus_set):
-                    continue  # not a Xi edge
+            for w in _bits(rows[v] & allowed[v] & ~seen):
                 parent[w] = v
-                if w == dst:
+                seen |= 1 << w
+                if (stop >> w) & 1:
                     path = [w]
                     while parent[path[-1]] != -1:
                         path.append(parent[path[-1]])
                     return path[::-1]
-                nxt.append(w)
+                if (through >> w) & 1:
+                    nxt.append(w)
         frontier = nxt
-    raise AssertionError("splitting lemma guarantees a Xi path")
+    return None
 
 
 def realize_pointed(gp: Tournament, gm: Tournament) -> tuple[Game, DoubleLayout]:
@@ -305,21 +307,23 @@ def realize_pointed(gp: Tournament, gm: Tournament) -> tuple[Game, DoubleLayout]
         raise SizeMismatch("the two tournaments must have equal size")
     n = gp.p
     g, lay = double(gm)
-    plus_set = {lay.plus(j) for j in range(n)}
-    minus_set = {lay.minus(j) for j in range(n)}
+    rows = list(g.rows)
+    cross = _other_side(g, lay.base)
     diffs = sorted((i, j) for (i, j) in gm.edges() if gp.has_edge(j, i))
     for (i, j) in diffs:
         ip, jp = lay.plus(i), lay.plus(j)
-        if not g.has_edge(ip, jp):
+        if not (rows[ip] >> jp) & 1:
             raise InvariantViolation(f"difference edge {ip}->{jp} is missing before its reversal")
-        path = _xi_bfs_path(g, plus_set, minus_set, jp, ip)
-        cyc = EdgeSet(g.p, list(zip(path, path[1:])) + [(ip, jp)])
-        g2 = reverse_subgraph(g, cyc)
-        assert isinstance(g2, Game)
-        g = g2
-    got_p, _ = restrict(g, sorted(plus_set))
-    got_m, _ = restrict(g, sorted(minus_set))
-    if got_p != gp or got_m != gm:
+        path = _bfs_path(rows, cross, jp, 1 << ip, (1 << g.p) - 1)
+        if path is None:
+            raise InvariantViolation(f"no cross path from {jp} to {ip}, against the splitting lemma")
+        _reverse_cycle(rows, path)  # the path jp .. ip closes through the difference edge ip -> jp
+    g = Game(g.p, rows)
+    full = (1 << n) - 1
+    lo, hi = lay.minus(0), lay.plus(0)
+    got_p = tuple((rows[hi + j] >> hi) & full for j in range(n))
+    got_m = tuple((rows[lo + j] >> lo) & full for j in range(n))
+    if got_p != gp.rows or got_m != gm.rows:
         raise InvariantViolation("pointed game does not restrict to the two tournaments")
     return g, lay
 
@@ -344,53 +348,33 @@ def eulerian_to_game(d: Digraph, record: Optional[list[int]] = None) -> Game:
         for j in range(i + 1, p):
             if not (rows[i] >> j) & 1 and not (rows[j] >> i) & 1:
                 rows[i] |= 1 << j
-    g = from_rows(p, rows)
+    free = [~r for r in d.rows]
 
-    def deviation(t: Digraph) -> int:
-        return sum(max(t.out_degree(i) - n, 0) for i in range(p))
+    def deviation() -> int:
+        return sum(max(r.bit_count() - n, 0) for r in rows)
 
-    dev = deviation(g)
+    dev = deviation()
     if record is not None:
         record.append(dev)
     while dev > 0:
-        over = [i for i in range(p) if g.out_degree(i) > n]
-        under = {i for i in range(p) if g.out_degree(i) < n}
-        middle = set(range(p)) - set(over) - under
-        path = None
-        for s in over:
-            parent = {s: -1}
-            frontier = [s]
-            while frontier and path is None:
-                nxt = []
-                for v in sorted(frontier):
-                    for w in _bits(g.rows[v]):
-                        if w in parent or d.has_edge(v, w):
-                            continue
-                        parent[w] = v
-                        if w in under:
-                            path = [w]
-                            while parent[path[-1]] != -1:
-                                path.append(parent[path[-1]])
-                            path = path[::-1]
-                            break
-                        if w in middle:
-                            nxt.append(w)
-                    if path:
-                        break
-                frontier = nxt
-            if path:
+        score = [r.bit_count() for r in rows]
+        under = sum(1 << i for i in range(p) if score[i] < n)
+        middle = sum(1 << i for i in range(p) if score[i] == n)
+        for s in (i for i in range(p) if score[i] > n):
+            path = _bfs_path(rows, free, s, under, middle)
+            if path is not None:
                 break
-        if path is None:
+        else:
             raise InvariantViolation("no free over-to-under path")
-        g = reverse_subgraph(g, EdgeSet(p, list(zip(path, path[1:]))))
+        _reverse_path(rows, path)
         dev -= 1
-        got = deviation(g)
+        got = deviation()
         if record is not None:
             record.append(got)
         if got != dev:
             raise InvariantViolation("deviation did not drop by one")
-    out = from_rows(p, g.rows)
-    if not isinstance(out, Game) or not d.is_subgraph_of(out):
+    out = Game(p, rows)
+    if not d.is_subgraph_of(out):
         raise InvariantViolation("completion is not a game containing the digraph")
     return out
 
@@ -473,9 +457,12 @@ def steiner_variants(pi: Game) -> list[SteinerVariant]:
     }
     out = []
     for name, pattern in _VARIANT_PATTERNS.items():
-        dset = EdgeSet(g2.p, [e for part in name.split("+") for e in parts[part].edges()])
-        gv = reverse_subgraph(g2, dset)
-        assert isinstance(gv, Game)
+        rows = [0] * g2.p
+        for part in name.split("+"):
+            rows = [r | m for r, m in zip(rows, parts[part].rows)]
+        gv = reverse_subgraph(g2, Digraph(g2.p, rows))
+        if not isinstance(gv, Game):
+            raise InvariantViolation(f"the {name} variant is not a game")
         witness: list[tuple[int, int, int]] = []
         for x in range(pi.p):
             witness.append((lay.plus(x), lay.base, lay.minus(x)))
@@ -510,7 +497,8 @@ def nonreducible_from(pi: Game) -> Game:
         raise TooSmall("the construction needs a game of size >= 3")
     g2, lay = double(pi)
     gv = reverse_subgraph(g2, double_layer_edges(lay, +1))
-    assert isinstance(gv, Game)
+    if not isinstance(gv, Game):
+        raise InvariantViolation("reversing the upper copy of a double left no game")
     return gv
 
 
@@ -521,8 +509,6 @@ def uniquely_reducible_extension(pi: Game, K: Optional[Iterable[int]] = None) ->
     complement must avoid every out- and in-neighborhood; the first such K in
     lexicographic order is used when none is supplied.
     """
-    from .errors import NotApplicable
-
     p = pi.p
     n = (p + 1) // 2
     rep = reducibility_graph(pi)
@@ -538,9 +524,7 @@ def uniquely_reducible_extension(pi: Game, K: Optional[Iterable[int]] = None) ->
         return comp not in taboo
 
     if K is not None:
-        ks = tuple(sorted(set(K)))
-        if len(ks) != n:
-            raise BadK(f"K must have {n} vertices")
+        ks = _k_vertices(pi, K)
         if not good(ks):
             raise NotApplicable("K violates the unique-reducibility conditions")
         chosen = ks
@@ -651,9 +635,7 @@ def saturate(t: Tournament) -> tuple[Tournament, dict[int, frozenset[int]]]:
                 rows[k] |= 1 << v
         for other in range(mask + 1, 1 << s):
             rows[v] |= 1 << (s + other)
-    g = from_rows(p, rows)
-    assert isinstance(g, Tournament)
-    return g, labels
+    return Tournament(p, rows), labels
 
 
 def extend_embedding(

@@ -40,6 +40,7 @@ from .core import (
     scores,
 )
 from .errors import BadSize, InvariantViolation, NotSurjective, TooLarge, WrongGroup
+from .reversal import _reverse_cycle
 
 
 @dataclass(frozen=True)
@@ -286,9 +287,7 @@ def _seven_fixtures() -> dict[str, int]:
     g2 = circulant(7, (1, 2, 4))
     rows = list(g2.rows)
     # reverse the 3-cycle 3 -> 5 -> 6 -> 3 to obtain the third type
-    for (u, v) in ((3, 5), (5, 6), (6, 3)):
-        rows[u] &= ~(1 << v)
-        rows[v] |= 1 << u
+    _reverse_cycle(rows, (3, 5, 6))
     g3 = Game(7, rows)
     return {
         "I": canonical_form(g1).bits,

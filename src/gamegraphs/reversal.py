@@ -93,15 +93,18 @@ def parse_plan(text: str) -> ReversalPlan:
     return ReversalPlan(tuple(moves))
 
 
-def _reverse_cycle(rows: list[int], cycle: Sequence[int]) -> None:
-    """Reverse one oriented cycle of the row list in place."""
-    k = len(cycle)
-    for t in range(k):
-        a, b = cycle[t], cycle[(t + 1) % k]
+def _reverse_path(rows: list[int], path: Sequence[int]) -> None:
+    """Reverse the oriented path path[0] -> ... -> path[-1] of the row list in place."""
+    for a, b in zip(path, path[1:]):
         if not (rows[a] >> b) & 1:
             raise NotACycle(f"edge {a}->{b} absent at this step")
         rows[a] &= ~(1 << b)
         rows[b] |= 1 << a
+
+
+def _reverse_cycle(rows: list[int], cycle: Sequence[int]) -> None:
+    """Reverse one oriented cycle of the row list in place."""
+    _reverse_path(rows, (*cycle, cycle[0]))
 
 
 def apply_plan(pi: Digraph, plan: ReversalPlan) -> Digraph:

@@ -632,21 +632,15 @@ def oracle_double(t: Digraph) -> Game:
     return make_digraph(2 * n + 1, edges)
 
 
-def _oracle_double_parts(n: int) -> dict:
-    """Chart maps of the plus layer, the minus layer and the cross part of a
-    double on n source vertices, each sending a source edge (i, j) to the
-    edges it contributes."""
-    return {
-        "plus": lambda i, j: [(1 + n + i, 1 + n + j)],
-        "minus": lambda i, j: [(1 + i, 1 + j)],
-        "cross": lambda i, j: [(1 + n + j, 1 + i), (1 + j, 1 + n + i)],
-    }
-
-
 def oracle_double_part(t: Digraph, names) -> EdgeSet:
     """The union of the named parts of 2t ("plus", "minus", "cross"), edge by edge."""
-    parts = _oracle_double_parts(t.p)
-    return EdgeSet(2 * t.p + 1, [e for name in names for (i, j) in t.edges() for e in parts[name](i, j)])
+    n = t.p
+    parts = {
+        "plus": [(1 + n + i, 1 + n + j) for (i, j) in t.edges()],
+        "minus": [(1 + i, 1 + j) for (i, j) in t.edges()],
+        "cross": [e for (i, j) in t.edges() for e in ((1 + n + j, 1 + i), (1 + j, 1 + n + i))],
+    }
+    return EdgeSet(2 * n + 1, [e for name in names for e in parts[name]])
 
 
 def oracle_realize_pointed(gp: Digraph, gm: Digraph):

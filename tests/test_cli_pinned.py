@@ -28,6 +28,7 @@ CASES = [
     ('gen saturate {c3}', 0, 'sha256:5182e1b7e225aa9c145544d5ad348b07fc5f0a93f36a4b0ceceb38364fdb34e6', ''),
     ('gen lex {c3} {c3}', 0, 'sha256:3b27ffc2c71bb3eae86bb5a810651ebd42c21607d4d7a2ef37ec844dc5436fcd', ''),
     ('gen extend {c3} --k 0,1', 0, 'sha256:8496ab6c8dd98447145624b361f2d63a39fc95a4407e5fdc3ddec46cea37fb10', ''),
+    ('gen extend {c3} --k 0,0,1', 1, '', 'BadK'),
     ('gen group --cyclic 7 --subset 1,2,3', 0, 'sha256:952987542b3814ea687c746701314c57e070e65bd27f83c1cdb4ff9ccb3d87b3', ''),
     ('gen group --group-file {z7} --subset 1,2,4', 0, 'sha256:c3f2c4a5a4469b852e761f2e0b846badf9093bab79a5b15e5d750a84abb46340', ''),
     ('gen qr --prime 7', 0, 'sha256:c3f2c4a5a4469b852e761f2e0b846badf9093bab79a5b15e5d750a84abb46340', ''),

@@ -74,22 +74,25 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Each construction certificate must raise even when asserts are stripped.
 # The Steiner witnesses are broken directly (a missing edge, a reused edge,
-# an uncovered game); the other checks get a patched helper: restrict hands
-# back the wrong tournament, no vertex has successors, reversing a path
-# changes nothing, and from_rows builds a plain digraph.  A case naming a
-# message counts only when the certificate raising is the one with that
-# message, not a later check.
+# an uncovered game), and a double of a non-tournament fails its own Game
+# check; the other checks get a patched helper: reversing a cross cycle
+# changes nothing (so the restrictions stay those of the double), the path
+# search finds no path, reversing a free path changes nothing, the game
+# built at the end lacks the digraph, and a restriction or a reversal hands
+# back a graph that is no game.  A case naming a message counts only when
+# the certificate raising is the one with that message, not a later check.
 _BROKEN_CERTIFICATES = """
 from contextlib import nullcontext
 from unittest import mock
 
 from gamegraphs import construct
-from gamegraphs.core import Digraph, EdgeSet, circulant, make_digraph, reverse
+from gamegraphs.core import EdgeSet, circulant, make_digraph, reverse
 from gamegraphs.errors import InvariantViolation
 
 if __debug__:
     raise SystemExit("asserts are live")
 c3 = circulant(3, (1,))
+straddle = make_digraph(3, [(0, 1), (0, 2), (1, 2)])
 _double = construct.double
 cases = [
     ("steiner_missing", nullcontext(),
@@ -98,16 +101,26 @@ cases = [
      lambda: construct._validate_steiner_witness(c3, [(0, 1, 2), (1, 2, 0)])),
     ("steiner_cover", nullcontext(),
      lambda: construct._validate_steiner_witness(c3, [])),
-    ("restriction", mock.patch.object(construct, "restrict", lambda g, J: (reverse(c3), None)),
-     lambda: construct.realize_pointed(c3, c3)),
-    ("path", mock.patch.object(construct, "_bits", lambda m: []),
-     lambda: construct.eulerian_to_game(EdgeSet(5, []))),
-    ("deviation", mock.patch.object(construct, "reverse_subgraph", lambda g, d: g),
-     lambda: construct.eulerian_to_game(EdgeSet(5, []), record=[])),
-    ("deviation_unrecorded", mock.patch.object(construct, "reverse_subgraph", lambda g, d: g),
+    ("restriction", mock.patch.object(construct, "_reverse_cycle", lambda rows, cycle: None),
+     lambda: construct.realize_pointed(reverse(c3), c3), "does not restrict"),
+    ("path", mock.patch.object(construct, "_bfs_path", lambda *args: None),
+     lambda: construct.eulerian_to_game(EdgeSet(5, [])), "no free over-to-under path"),
+    ("deviation", mock.patch.object(construct, "_reverse_path", lambda rows, path: None),
+     lambda: construct.eulerian_to_game(EdgeSet(5, []), record=[]), "deviation did not drop by one"),
+    ("deviation_unrecorded", mock.patch.object(construct, "_reverse_path", lambda rows, path: None),
      lambda: construct.eulerian_to_game(EdgeSet(5, [])), "deviation did not drop by one"),
-    ("result", mock.patch.object(construct, "from_rows", Digraph),
-     lambda: construct.eulerian_to_game(circulant(5, (1, 2)))),
+    ("result", mock.patch.object(construct, "Game", lambda p, rows: reverse(circulant(5, (1, 2)))),
+     lambda: construct.eulerian_to_game(circulant(5, (1, 2))), "not a game containing the digraph"),
+    ("cross_path", mock.patch.object(construct, "_bfs_path", lambda *args: None),
+     lambda: construct.realize_pointed(c3, reverse(c3)), "no cross path"),
+    ("double_class", nullcontext(),
+     lambda: construct.double(EdgeSet(2, [])), "not a tournament"),
+    ("reduce_class", mock.patch.object(construct, "restrict", lambda g, J: (straddle, {})),
+     lambda: construct.reduce_via(circulant(5, (1, 2)), 0, 2), "leaves no game"),
+    ("nonreducible_class", mock.patch.object(construct, "reverse_subgraph", lambda g, d: d),
+     lambda: construct.nonreducible_from(c3), "left no game"),
+    ("variant_class", mock.patch.object(construct, "reverse_subgraph", lambda g, d: d),
+     lambda: construct.steiner_variants(c3), "variant is not a game"),
     ("reducibility_fork", mock.patch.object(construct, "is_reducible_via", lambda g, i, j: True),
      lambda: construct.reducibility_graph(circulant(5, (1, 2))), "two reducible"),
     ("reducibility_cover",
@@ -244,6 +257,13 @@ class TestExtend:
     def test_bad_k(self, g5):
         with pytest.raises(BadK):
             extend(g5, [0, 1])
+
+    def test_repeated_vertex_in_k(self, g5, g7ii):
+        # with the repeat dropped, each K would have the right size
+        with pytest.raises(BadK):
+            extend(g5, [0, 0, 1, 4])
+        with pytest.raises(BadK):
+            uniquely_reducible_extension(g7ii, [0, 0, 1, 2, 3])
 
 
 class TestReduce:
@@ -403,6 +423,7 @@ class TestCertificates:
         assert out.stdout.split() == [
             "steiner_missing", "steiner_reused", "steiner_cover",
             "restriction", "path", "deviation", "deviation_unrecorded", "result",
+            "cross_path", "double_class", "reduce_class", "nonreducible_class", "variant_class",
             "reducibility_fork", "reducibility_cover", "realize_edge", "embed_reducible", "unique_extension",
         ]
 
