@@ -45,7 +45,7 @@ from gamegraphs.eulerian import (
     span_lower_bound,
     three_cycles,
 )
-from gamegraphs.morph import automorphisms, canon_hex, canonical_form
+from gamegraphs.morph import _canon_search, automorphisms, canon_hex, canonical_form
 from gamegraphs.reversal import delta_id
 from gamegraphs.errors import NotSubgraph
 
@@ -441,6 +441,26 @@ def oracle_canon_search(g: Digraph):
     return best[0], best[1], tuple(gens), nodes
 
 
+def oracle_aut_closure(g: Digraph) -> list:
+    """The automorphism group as the sorted closure of every generator the
+    search records, built breadth first by composing each element found
+    with each generator."""
+    gens = _canon_search(g, 2_000_000).generators
+    ident = tuple(range(g.p))
+    group = {ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for gen in gens:
+                b = tuple(gen[x] for x in a)
+                if b not in group:
+                    group.add(b)
+                    nxt.append(b)
+        frontier = nxt
+    return sorted(group)
+
+
 def oracle_simple_path(edges, src: int, dst: int):
     """Least-successor-first simple path src..dst with no memory of dead ends."""
     succ = defaultdict(list)
@@ -619,6 +639,43 @@ def oracle_game_subsets(G, keep) -> list:
         if all(G.inverse(e) not in elems for e in elems) and keep(elems):
             out.append(mask)
     return out
+
+
+def oracle_is_associative(table) -> bool:
+    """(ij)k == i(jk) over every triple."""
+    m = len(table)
+    return all(
+        table[table[i][j]][k] == table[i][table[j][k]]
+        for i in range(m) for j in range(m) for k in range(m)
+    )
+
+
+def all_reduced_latin_squares(m: int):
+    """Every m x m Latin square on 0..m-1 whose row 0 and column 0 are
+    0..m-1 (element 0 a two-sided identity), in lexicographic order."""
+    rows = [list(range(m))] + [[i] + [-1] * (m - 1) for i in range(1, m)]
+    row_used = [1 << i for i in range(m)]
+    col_used = [1 << j for j in range(m)]
+
+    def fill(cell):
+        if cell == m * m:
+            yield tuple(tuple(r) for r in rows)
+            return
+        i, j = divmod(cell, m)
+        if i == 0 or j == 0:
+            yield from fill(cell + 1)
+            return
+        for x in range(m):
+            bit = 1 << x
+            if not (row_used[i] | col_used[j]) & bit:
+                rows[i][j] = x
+                row_used[i] |= bit
+                col_used[j] |= bit
+                yield from fill(cell + 1)
+                row_used[i] ^= bit
+                col_used[j] ^= bit
+
+    yield from fill(0)
 
 
 def oracle_double(t: Digraph) -> Game:

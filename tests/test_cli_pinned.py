@@ -15,8 +15,8 @@ import random
 import pytest
 
 from gamegraphs import cli
-from gamegraphs.core import serialize
-from gamegraphs.groups import cyclic_group, serialize_group
+from gamegraphs.core import Permutation, relabel, serialize
+from gamegraphs.groups import cyclic_group, group_game, quadratic_residue_subset, serialize_group
 
 from conftest import random_eulerian_edgeset, random_tournament
 
@@ -57,6 +57,8 @@ CASES = [
     ('iso test {g7i} {g7i}', 0, 'isomorphic 0 1 2 3 4 5 6\n', ''),
     ('iso aut {g7ii}', 0, 'sha256:333fec51567890793329d6a36c50c105fa287a2433fc9359d90a454fa116f04a', ''),
     ('iso aut {t3}', 0, 'order 1\n0 1 2\n', ''),
+    ('iso test {qr23} {qr23r}', 0, 'isomorphic 0 1 14 8 4 9 22 2 5 7 10 12 21 13 19 18 6 15 20 17 3 16 11\n', ''),
+    ('iso aut {qr43}', 0, 'sha256:295110293804b861ed9b6af3c4d50094a7706f28f1e89e316e1ce10f70ed9444', ''),
     ('iso classify7 {g7i}', 0, 'I\n', ''),
     ('groups subsets --cyclic 7', 0, 'sha256:093467582612dc7bd8c405ac94f6683264d8c36a076bb1d633c8c0b3e3131d3c', ''),
     ('groups pair-subsets --cyclic 9 --subgroup 0,3,6', 0, 'subset 9 010110010\nsubset 9 010010110\nsubset 9 001101001\nsubset 9 001001101\n', ''),
@@ -77,6 +79,11 @@ CASES = [
 ENUMERATE_5_GAMES = "sha256:2539a96ea37909dba645ded3bb9372c3428a9a7b41c0448d6d44ccc8887e2af3"
 
 
+def _qr_game(p: int):
+    sub = quadratic_residue_subset(p)
+    return group_game(sub.group, sub)
+
+
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory, c3, g5, g7i, g7ii, g7iii, straddle, chorded_nine_ring):
     texts = {
@@ -90,6 +97,9 @@ def inputs(tmp_path_factory, c3, g5, g7i, g7ii, g7iii, straddle, chorded_nine_ri
         "ed31": serialize(random_eulerian_edgeset(31, random.Random(181), tries=12)),
         "t15a": serialize(random_tournament(15, random.Random(191))),
         "t15b": serialize(random_tournament(15, random.Random(193))),
+        "qr23": serialize(_qr_game(23)),
+        "qr23r": serialize(relabel(_qr_game(23), Permutation(random.Random(197).sample(range(23), 23)))),
+        "qr43": serialize(_qr_game(43)),
         "z7": serialize_group(cyclic_group(7)),
         "plan": "r3 3 6 5\n",
     }

@@ -12,6 +12,7 @@ from gamegraphs.errors import (
     BadPrime,
     EvenOrder,
     ExtraAutomorphisms,
+    InvariantViolation,
     NotGameSubset,
     NotPairSubset,
     NotSubgroup,
@@ -51,7 +52,7 @@ from gamegraphs.groups import (
 )
 from gamegraphs.morph import are_isomorphic, automorphisms
 
-from conftest import oracle_game_subsets
+from conftest import all_reduced_latin_squares, oracle_game_subsets, oracle_is_associative
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -146,6 +147,39 @@ class TestConstructors:
         A = GameSubset(z75, [25] + [x for x in range(75) if 1 <= x % 25 <= 12])
         q, cosets, _ = quotient_game(z75, [0, 25, 50], A)
         assert q == circulant(25, range(1, 13)) and len(cosets) == 25
+
+
+class TestAssociativity:
+    """The table check against the check of every triple."""
+
+    # identity 0, every element its own inverse, 36 non-associative triples
+    LOOP5 = ("01234", "10342", "24013", "32401", "43120")
+
+    def test_order5_loop_is_rejected(self):
+        table = [[int(c) for c in row] for row in self.LOOP5]
+        assert not oracle_is_associative(table)
+        with pytest.raises(InvariantViolation, match="table is not associative"):
+            FiniteGroup(table)
+
+    @pytest.mark.parametrize("m", [4, 5, 6])
+    def test_every_identity_latin_square(self, m):
+        # 4, 56 and 9,408 tables, of which 4, 6 and 80 are groups; a
+        # non-associative one fails on inverses or on associativity
+        groups_found = 0
+        for table in all_reduced_latin_squares(m):
+            if oracle_is_associative(table):
+                assert FiniteGroup(table).table == table
+                groups_found += 1
+            else:
+                with pytest.raises(InvariantViolation):
+                    FiniteGroup(table)
+        assert groups_found == {4: 4, 5: 6, 6: 80}[m]
+
+    def test_products_and_semidirect_groups_are_accepted(self):
+        for G in (direct_product(cyclic_group(3), cyclic_group(9)), semidirect_cyclic(3, 7, 2),
+                  semidirect_cyclic(5, 11, 3), direct_product(cyclic_group(2), cyclic_group(2))):
+            assert oracle_is_associative(G.table)
+            assert FiniteGroup(G.table) == G
 
 
 class TestArithmetic:

@@ -42,6 +42,7 @@ from gamegraphs.morph import (
 
 from conftest import (
     all_labeled_tournaments,
+    oracle_aut_closure,
     oracle_bits_under,
     oracle_canon_search,
     oracle_canon_tree,
@@ -314,6 +315,54 @@ class TestSearchAgainstOracle:
         assert len(graphs) >= 70  # the in-neighbor signature is what these check
         for g in graphs:
             self._agree(g)
+
+
+class TestIsomorphismPath:
+    """`are_isomorphic` and `automorphisms` against the plain forms: the
+    witness read off two full searches, and the closure over every
+    generator the search records."""
+
+    @staticmethod
+    def _pairs(c3):
+        rng = random.Random(101)
+        graphs = [_qr_game(23), _qr_game(31), circulant(9, (1, 2)), lex_product(c3, c3)]
+        graphs += rng.sample(list(enumerate_games(7)), 12)
+        graphs += [random_tournament(p, rng) for p in range(9, 16)]
+        graphs += _symmetric_digraphs()
+        graphs += [_random_digraph(rng.randint(5, 12), rng) for _ in range(8)]
+        pairs = []
+        for g in graphs:
+            for _ in range(2):
+                pairs.append((g, relabel(g, Permutation(rng.sample(range(g.p), g.p)))))
+        return pairs
+
+    def test_witness_is_first_minimum_leaf(self, c3):
+        pairs = self._pairs(c3)
+        rigid = 0
+        for a, b in pairs:
+            ca = canonical_form(a)
+            full_b = _canon_search(b, 2_000_000)
+            assert full_b.value == ca.bits
+            rho = are_isomorphic(a, b)
+            assert rho == full_b.leaf.inverse().compose(ca.witness)
+            assert relabel(a, rho) == b
+            rigid += not full_b.generators
+        assert 0 < rigid < len(pairs)  # rigid and non-rigid pairs both occur
+
+    def test_non_isomorphic_pairs(self, g7i, g7ii, g7iii):
+        rng = random.Random(103)
+        pairs = [(g7i, g7ii), (g7ii, g7iii), (g7iii, g7i), (_qr_game(23), circulant(23, range(1, 12)))]
+        pairs += [(random_tournament(p, rng), random_tournament(p, rng)) for p in range(9, 16)]
+        pairs += [(circulant(12, (1, 4)), circulant(12, (1, 5))), (circulant(8, (1, 3)), circulant(8, (1, 2)))]
+        for a, b in pairs:
+            assert canonical_form(a).bits != canonical_form(b).bits
+            assert are_isomorphic(a, b) is None
+
+    def test_aut_closure_matches_oracle(self, c3):
+        graphs = [_qr_game(q) for q in (23, 31, 43)] + _symmetric_digraphs() + [lex_product(c3, c3)]
+        graphs += [from_rows(0, []), from_rows(1, [0]), from_rows(2, [0b10, 0]), from_rows(2, [0, 0])]
+        for g in graphs:
+            assert [a.image for a in automorphisms(g)] == oracle_aut_closure(g)
 
 
 class TestRigidity:
