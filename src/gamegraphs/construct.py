@@ -19,6 +19,7 @@ from .core import (
     Permutation,
     Tournament,
     _bits,
+    _check_vertex_count,
     from_rows,
     relabel,
     restrict,
@@ -107,6 +108,7 @@ def lex_product(gamma: Digraph, pi: Digraph) -> Digraph:
     dominates, ties broken by the second."""
     q = pi.p
     p = gamma.p * q
+    _check_vertex_count(p)
     rows = [0] * p
     for i1 in range(gamma.p):
         for j1 in range(q):
@@ -128,6 +130,7 @@ def generalized_lex(gamma: Digraph, fibers: Sequence[Digraph]) -> tuple[Digraph,
     for f in fibers:
         offs.append(offs[-1] + f.p)
     p = offs[-1]
+    _check_vertex_count(p)
     rows = [0] * p
     proj = [0] * p
     for i in range(gamma.p):

@@ -33,14 +33,18 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= b
 
 
+def _check_vertex_count(p: int) -> None:
+    if not (0 <= p <= MAX_VERTICES):
+        raise VertexOutOfRange(f"vertex count {p} outside 0..{MAX_VERTICES}")
+
+
 class Digraph:
     """Loop-free digraph with no antiparallel pair: adj and its reverse are disjoint."""
 
     __slots__ = ("p", "rows", "_cols")
 
     def __init__(self, p: int, rows: Sequence[int]):
-        if not (0 <= p <= MAX_VERTICES):
-            raise VertexOutOfRange(f"vertex count {p} outside 0..{MAX_VERTICES}")
+        _check_vertex_count(p)
         rows = tuple(rows)
         if len(rows) != p:
             raise VertexOutOfRange("row count != p")

@@ -1,10 +1,11 @@
 """Finite groups of odd order, game subsets, group games, and homogeneous games.
 
 Groups are bare Cayley tables with identity index 0; all the library-scale
-examples have order at most 27, so exhaustive validation is cheap, and an
-order above _ORDER_LIMIT, whose table would take seconds to check, raises
-TooLarge.  A game subset A picks one element from each inverse pair, and
-its group game Gamma[A] has an edge i -> j exactly when i^-1 j lies in A.
+examples have order at most 27, so validating the table is cheap
+(associativity by Light's test, at generators only), and an order above
+_ORDER_LIMIT raises TooLarge before its table is built.  A game subset A
+picks one element from each inverse pair, and its group game Gamma[A] has
+an edge i -> j exactly when i^-1 j lies in A.
 """
 
 from __future__ import annotations
@@ -33,18 +34,45 @@ from .errors import (
 from .morph import AutGroup, _orbit_roots, automorphisms
 
 
-# FiniteGroup checks associativity on all m^3 triples: about 1.6 s at
-# order 255 in pure Python (2-core VM).  A group game has at most
-# MAX_VERTICES elements, but a larger group still yields smaller games, as
-# a quotient G/H or as the cyclic group of an automorphism acting on an
-# orbit (an automorphism of a 29-vertex game can have order 77).
+# The limit bounds the m^2 Cayley table and the walks over it.  A group
+# game has at most MAX_VERTICES elements, but a larger group still yields
+# smaller games, as a quotient G/H or as the cyclic group of an
+# automorphism acting on an orbit (an automorphism of a 29-vertex game can
+# have order 77).
 _ORDER_LIMIT = 255
 
 
 def _check_order(m: int) -> None:
     """Refuse a group of order above _ORDER_LIMIT before its table is built."""
     if m > _ORDER_LIMIT:
-        raise TooLarge(f"group order {m} > {_ORDER_LIMIT}: its m^3 table check is past the budget")
+        raise TooLarge(f"group order {m} > {_ORDER_LIMIT} is past the budget")
+
+
+def _generators(tab: Sequence[Sequence[int]]) -> list[int]:
+    """Elements that generate the table under products, picked greedily:
+    each is the least element not reached from 0 by right multiplication
+    by the ones before it.
+
+    Light's associativity test needs (ij)k = i(jk) for all i, j only at
+    these k: the k where it holds are closed under products, since
+    (ij)(kl) = ((ij)k)l = (i(jk))l = i((jk)l) = i(j(kl)) when it holds at
+    k and l, so it then holds at every element.
+    """
+    gens: list[int] = []
+    reached = {0}
+    for x in range(len(tab)):
+        if x in reached:
+            continue
+        gens.append(x)
+        todo = list(reached)
+        while todo:
+            y = todo.pop()
+            for g in gens:
+                z = tab[y][g]
+                if z not in reached:
+                    reached.add(z)
+                    todo.append(z)
+    return gens
 
 
 class FiniteGroup:
@@ -69,11 +97,11 @@ class FiniteGroup:
                     inv[i] = j
         if any(v < 0 for v in inv) or any(tab[inv[i]][i] != 0 for i in range(m)):
             raise InvariantViolation("missing inverses")
-        for i in range(m):
-            for j in range(m):
-                for k in range(m):
-                    if tab[tab[i][j]][k] != tab[i][tab[j][k]]:
-                        raise InvariantViolation("table is not associative")
+        for k in _generators(tab):
+            col = [row[k] for row in tab]
+            for row in tab:
+                if list(map(col.__getitem__, row)) != list(map(row.__getitem__, col)):
+                    raise InvariantViolation("table is not associative")
         self.m = m
         self.table = tab
         self.inv = tuple(inv)

@@ -14,11 +14,27 @@ out-colors have equal in-colors, and sorting (color, out) ranks the
 vertices exactly as sorting (color, out, in) does.  A leaf's value is built
 from the edges alone, bit color[u]*p + color[w] for each edge u -> w.
 
+Refinement stops as soon as the coloring is discrete: every vertex then has
+its own color, ranked 0..p-1, and a further round could only return it
+unchanged.
+
 Two leaves with equal values differ by an automorphism.  The search records
 one for each such leaf and skips every branch that a recorded automorphism
 maps onto an earlier branch (orbit pruning, as in nauty).  One search gives
 the canonical form, its witness (the first minimum leaf) and generators of
-the automorphism group, which `automorphisms` closes into the full group.
+the automorphism group.
+
+`are_isomorphic` searches a in full and b only until its first leaf whose
+value equals a's canonical bits (early termination, McKay & Piperno 2014).
+The search is deterministic, so up to that leaf it visits exactly the nodes
+of b's full search; if the graphs are isomorphic, a's bits are b's minimum,
+so that leaf is b's first minimum leaf and the witness is the one two full
+searches would give.  No leaf of b can equal a's bits otherwise.
+
+`automorphisms` closes the generators into the group by Dimino's algorithm:
+a generator already in the group built so far is skipped, and each new one
+extends the group coset by coset, so every element is composed once rather
+than once per generator.
 """
 
 from __future__ import annotations
@@ -83,7 +99,8 @@ class AutGroup:
 
 def _refine(outs: Sequence[Sequence[int]], ins: Optional[Sequence[Sequence[int]]],
             colors: list[int]) -> list[int]:
-    """Recolor by rank of signature until the colors stop changing.
+    """Recolor by rank of signature until the colors stop changing or
+    every vertex has a color of its own.
 
     A signature is a vertex's color and the sorted colors of its
     out-neighbors, then of its in-neighbors unless `ins` is None (for a
@@ -99,7 +116,7 @@ def _refine(outs: Sequence[Sequence[int]], ins: Optional[Sequence[Sequence[int]]
             ]
         table = {s: k for k, s in enumerate(sorted(set(sigs)))}
         new = [table[s] for s in sigs]
-        if new == colors:
+        if len(table) == len(new) or new == colors:
             return new
         colors = new
 
@@ -149,7 +166,7 @@ def _orbit_roots(p: int, gens: Sequence[Sequence[int]]) -> list[int]:
     return [find(x) for x in range(p)]
 
 
-def _canon_search(g: Digraph, node_budget: int) -> _Search:
+def _canon_search(g: Digraph, node_budget: int, _target: Optional[int] = None) -> _Search:
     """Depth-first individualization-refinement with automorphism pruning.
 
     A leaf whose value ties the best so far yields the automorphism
@@ -160,6 +177,10 @@ def _canon_search(g: Digraph, node_budget: int) -> _Search:
     minimum and the first leaf reaching it are those of the full tree, and
     every minimum leaf is a visited one moved by the recorded generators,
     which therefore generate the whole automorphism group.
+
+    With `_target` set, the search stops at the first leaf whose value
+    equals it; that leaf is then the result's value and leaf, and the
+    generators and node count are those found up to it.
     """
     p = g.p
     rows = g.rows
@@ -170,9 +191,10 @@ def _canon_search(g: Digraph, node_budget: int) -> _Search:
     best_leaf: list[int] = []
     gens: list[tuple[int, ...]] = []
     nodes = 0
+    hit = False  # a leaf reached _target
 
     def rec(colors: list[int], prefix: tuple[int, ...]) -> None:
-        nonlocal best_val, best_inv, best_leaf, nodes
+        nonlocal best_val, best_inv, best_leaf, nodes, hit
         nodes += 1
         if nodes > node_budget:
             raise TooLarge(f"canonical search exceeded {node_budget} nodes")
@@ -188,6 +210,7 @@ def _canon_search(g: Digraph, node_budget: int) -> _Search:
             val = _bits_under(p, outs, colors)
             if best_val is None or val < best_val:
                 best_val, best_leaf = val, colors
+                hit = val == _target
                 best_inv = [0] * p
                 for v, label in enumerate(colors):
                     best_inv[label] = v
@@ -213,6 +236,8 @@ def _canon_search(g: Digraph, node_budget: int) -> _Search:
             c2 = list(colors)
             c2[v] = nc
             rec(_refine(outs, ins, c2), prefix + (v,))
+            if hit:
+                return
 
     rec(_refine(outs, ins, [0] * p), ())
     return _Search(best_val, Permutation(best_leaf), tuple(gens), nodes)
@@ -232,10 +257,10 @@ def are_isomorphic(a: Digraph, b: Digraph) -> Optional[Permutation]:
     if a.p != b.p:
         return None
     ca = canonical_form(a)
-    cb = canonical_form(b)
-    if ca.bits != cb.bits:
+    sb = _canon_search(b, _CANON_NODES, ca.bits)
+    if sb.value != ca.bits:
         return None
-    rho = cb.witness.inverse().compose(ca.witness)
+    rho = sb.leaf.inverse().compose(ca.witness)
     if relabel(a, rho) != b:
         raise InvariantViolation("isomorphism witness does not map a onto b")
     return rho
@@ -245,22 +270,29 @@ def automorphisms(g: Digraph) -> AutGroup:
     """The full automorphism group, sorted by image.
 
     The canonical search returns generators (one per pair of equal leaves
-    it met); the group is their closure, built breadth first by composing
-    each element found with each generator.
+    it met); the group is their closure by Dimino's algorithm.  With H the
+    group closed so far, a generator already in H is skipped.  For a new
+    one, each right coset's representative r (H itself first) times each
+    generator t kept so far either lies in a coset already found or adds
+    the coset H rt, so every element is composed once.  A permutation is a
+    tuple of images: "x then y" is tuple(map(y.__getitem__, x)).
     """
     gens = _canon_search(g, _CANON_NODES).generators
     ident = tuple(range(g.p))
     group = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for gen in gens:
-                b = tuple(gen[x] for x in a)
-                if b not in group:
-                    group.add(b)
-                    nxt.append(b)
-        frontier = nxt
+    kept: list[tuple[int, ...]] = []
+    for s in gens:
+        if s in group:
+            continue
+        kept.append(s)
+        sub = list(group)  # H
+        reps = [ident]
+        for r in reps:  # grows while it is read
+            for t in kept:
+                rt = tuple(map(t.__getitem__, r))
+                if rt not in group:
+                    group.update([tuple(map(rt.__getitem__, h)) for h in sub])
+                    reps.append(rt)
     return AutGroup(tuple(Permutation(a) for a in sorted(group)))
 
 

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from itertools import permutations
 
 import pytest
@@ -55,6 +56,16 @@ class TestGen:
         src.write_text(serialize(c3))
         code, stdout, _ = run(capsys, "gen", "saturate", str(src))
         assert code == 0 and parse(stdout).p == 11
+
+    def test_lex_past_the_vertex_ceiling_fails_fast(self, tmp_path, capsys):
+        src = tmp_path / "c63.game"
+        src.write_text(serialize(circulant(63, range(1, 32))))
+        start = time.perf_counter()
+        code, stdout, err = run(capsys, "gen", "lex", str(src), str(src))
+        elapsed = time.perf_counter() - start
+        assert (code, stdout) == (1, "")
+        assert err == "VertexOutOfRange: vertex count 3969 outside 0..64\n"
+        assert elapsed < 0.5  # the size is checked before any row is built
 
 
 class TestPlan:

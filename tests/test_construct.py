@@ -51,6 +51,7 @@ from gamegraphs.errors import (
     SepExhausted,
     TooLarge,
     TooSmall,
+    VertexOutOfRange,
 )
 from gamegraphs.eulerian import span, steiner_decomposition
 from gamegraphs.morph import are_isomorphic, automorphisms, classify7
@@ -207,6 +208,13 @@ class TestLexProduct:
     def test_fiber_count_mismatch(self, c3, g5):
         with pytest.raises(FiberCountMismatch):
             generalized_lex(g5, [c3] * 4)
+
+    def test_past_the_vertex_ceiling(self, c3):
+        big = circulant(33, range(1, 17))
+        with pytest.raises(VertexOutOfRange, match="vertex count 99 outside 0..64"):
+            lex_product(big, c3)
+        with pytest.raises(VertexOutOfRange, match="vertex count 69 outside 0..64"):
+            generalized_lex(c3, [big, big, c3])
 
     def test_mixed_fibers_two_of_three(self, c3):
         # game base, game fibers of unequal sizes: the product is not a game

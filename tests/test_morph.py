@@ -42,6 +42,7 @@ from gamegraphs.morph import (
 
 from conftest import (
     all_labeled_tournaments,
+    disjoint_walk,
     oracle_aut_closure,
     oracle_bits_under,
     oracle_canon_search,
@@ -357,6 +358,18 @@ class TestIsomorphismPath:
         for a, b in pairs:
             assert canonical_form(a).bits != canonical_form(b).bits
             assert are_isomorphic(a, b) is None
+
+    def test_targeted_search_stops_at_the_first_minimum_leaf(self):
+        rng = random.Random(107)
+        a = disjoint_walk(circulant(15, range(1, 8)), 6, rng)
+        b = relabel(a, Permutation(rng.sample(range(15), 15)))
+        full = _canon_search(b, 10_000)
+        assert not full.generators and full.nodes == 16  # rigid: root and 15 leaves
+        hit = _canon_search(b, 10_000, canonical_form(a).bits)
+        assert (hit.value, hit.leaf) == (full.value, full.leaf)
+        assert hit.nodes == 9  # it stops at the 8th of the 15 leaves
+        miss = _canon_search(b, 10_000, full.value - 1)
+        assert miss == full
 
     def test_aut_closure_matches_oracle(self, c3):
         graphs = [_qr_game(q) for q in (23, 31, 43)] + _symmetric_digraphs() + [lex_product(c3, c3)]
