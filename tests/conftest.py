@@ -6,8 +6,9 @@ Eulerian-subgraph counts by direct subset enumeration.  Some keep the
 methods the library replaced: the census by canonicalizing every labeled
 game, the meet-in-the-middle Eulerian-subgraph count, the parity split by
 enumeration, and the difference graph and subgraph reversal edge by edge.
-Game-subset families come from a scan of every mask.  Others keep the plain
-forms of searches the library now prunes or speeds up: the canonical
+Game-subset families come from a scan of every mask, and the greedy cycle
+peel, the 3-cycle-first greedy and the Euler trail run on edge sets with
+successor lists and a union-find.  Others keep the plain forms of searches the library now prunes or speeds up: the canonical
 refinement tree, whole or orbit-pruned, over the plain refinement step
 (every signature rebuilt from the bitmasks each round, in-colors always
 included) and the plain leaf value (all p^2 pairs), the simple-path DFS
@@ -478,6 +479,91 @@ def oracle_simple_path(edges, src: int, dst: int):
         return None
 
     return dfs(src, {src}, [src])
+
+
+def _oracle_dead_end_path(succ, src: int, dst: int):
+    """The same path as oracle_simple_path, with a set of dead vertices
+    whose subtrees failed; fast enough for 63-vertex difference graphs."""
+    dead = set()
+
+    def dfs(v, visited, path):
+        if v == dst:
+            return path
+        for w in succ[v]:
+            if w == dst or (w not in visited and w not in dead):
+                got = dfs(w, visited | {w}, path + [w])
+                if got is not None:
+                    return got
+        dead.add(v)
+        return None
+
+    return dfs(src, {src}, [src])
+
+
+def oracle_cycle_decomposition(d: Digraph) -> list:
+    """The greedy peel on an edge set: remove the cycle that the least
+    remaining edge (u, v) closes with the least-successor-first path v..u,
+    with the successor lists rebuilt from the set for every cycle."""
+    remaining = set(d.edges())
+    out = []
+    while remaining:
+        (u, v) = min(remaining)
+        succ = defaultdict(list)
+        for (i, j) in sorted(remaining):
+            succ[i].append(j)
+        path = _oracle_dead_end_path(succ, v, u)
+        assert path is not None, "edge lies on no cycle"
+        cyc = (u,) + tuple(path[:-1])
+        for e in zip(cyc, cyc[1:] + cyc[:1]):
+            remaining.remove(e)
+        out.append(normalize_cycle(cyc))
+    return out
+
+
+def oracle_span_lower_bound(d: Digraph) -> tuple:
+    """The 3-cycle-first greedy on an edge set: each edge still present, in
+    sorted order, loses the 3-cycle through its least closing vertex; the
+    rest is peeled by oracle_cycle_decomposition."""
+    remaining = set(d.edges())
+    greedy = []
+    for (u, v) in sorted(remaining):
+        if (u, v) not in remaining:
+            continue
+        closing = [w for w in range(d.p) if (v, w) in remaining and (w, u) in remaining]
+        if closing:
+            w = closing[0]
+            remaining -= {(u, v), (v, w), (w, u)}
+            greedy.append(normalize_cycle((u, v, w)))
+    return tuple(greedy + oracle_cycle_decomposition(EdgeSet(d.p, remaining)))
+
+
+def oracle_euler_trail(d: Digraph) -> list:
+    """Closed trail over every edge of a connected Eulerian digraph by
+    Hierholzer's splice, least successor first, from the least vertex with
+    an edge; connectivity is checked by a union-find over the edges."""
+    edges = d.edges()
+    parent = list(range(d.p))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for (i, j) in edges:
+        parent[find(i)] = find(j)
+    verts = {v for e in edges for v in e}
+    assert len({find(v) for v in verts}) == 1, "edge set splits into vertex-separated parts"
+    succ = defaultdict(list)
+    for (i, j) in sorted(edges, reverse=True):
+        succ[i].append(j)
+    stack, trail = [min(verts)], []
+    while stack:
+        v = stack[-1]
+        if succ[v]:
+            stack.append(succ[v].pop())
+        else:
+            trail.append(stack.pop())
+    return trail[::-1]
 
 
 def _oracle_flip3(rows: tuple, tri: tuple) -> tuple:

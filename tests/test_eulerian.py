@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from gamegraphs.core import EdgeSet, circulant, from_rows, make_digraph, reverse, scores
+from gamegraphs.core import EdgeSet, Permutation, circulant, from_rows, make_digraph, relabel, reverse, scores
 from gamegraphs.errors import (
     BadLength,
     BudgetExceeded,
@@ -35,13 +36,17 @@ from gamegraphs.eulerian import (
     three_cycle_stats,
     three_cycles,
 )
+from gamegraphs.reversal import ReversalPlan, apply_plan, delta_id
 
 from conftest import (
     all_labeled_tournaments,
     disjoint_walk,
     oracle_count_mitm,
+    oracle_cycle_decomposition,
+    oracle_euler_trail,
     oracle_eulerian_count,
     oracle_simple_path,
+    oracle_span_lower_bound,
     oracle_span,
     oracle_span_search,
     random_eulerian_edgeset,
@@ -57,6 +62,40 @@ SPAN17_GREEDY_MAX = (1222, 124, 248, 433, 481, 1857, 1928, 1826, 1543, 31, 542)
 SPAN17_GREEDY_16 = (186, 124, 121, 1488, 1504, 968, 1921, 1798, 1543, 31, 551)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+SPAN11_POOL = Path(__file__).resolve().parent.parent / "perfbench" / "span11_pool.json"
+
+
+def span11_pool_games():
+    """The size-11 games of the benchmark pool: each is C11 after `steps`
+    3-cycle flips, each flip drawn uniformly from the lexicographic list of
+    the current game's 3-cycles by random.Random(walk_seed)."""
+    pool = json.loads(SPAN11_POOL.read_text())["classes"]
+    c11 = circulant(11, range(1, 6))
+    games = []
+    for entries in pool.values():
+        for e in entries:
+            rng, g = random.Random(e["walk_seed"]), c11
+            for _ in range(e["steps"]):
+                tris = three_cycles(g)
+                g = apply_plan(g, ReversalPlan((tris[rng.randrange(len(tris))],)))
+            games.append((g, e["span"]))
+    return games
+
+
+def plan_any_deltas_at_9():
+    """Difference graphs that plan any decomposes at p = 9: a relabelled C9
+    against its reverse and against disjoint walks of 1 to 7 flips from it."""
+    rng = random.Random(227)
+    c9 = circulant(9, range(1, 5))
+    out = []
+    for steps in range(1, 8):
+        image = list(range(9))
+        rng.shuffle(image)
+        a = relabel(c9, Permutation(image))
+        out.append(delta_id(a, reverse(a)))
+        for _ in range(4):
+            out.append(delta_id(a, disjoint_walk(a, steps, rng)))
+    return out
 
 # span's certificates must raise even when asserts are stripped: the
 # search's witness is broken by listing every cycle backwards (the masks,
@@ -175,6 +214,55 @@ class TestEulerTrail:
     def test_unbalanced_rejected(self):
         with pytest.raises(NotEulerian):
             euler_trail(EdgeSet(3, [(0, 1)]))
+
+
+class TestRowPeelAgainstEdgeSetOracles:
+    """The greedy peel and the Euler trail against their edge-set forms."""
+
+    @staticmethod
+    def check(d):
+        assert cycle_decomposition(d) == oracle_cycle_decomposition(d)
+        try:
+            want = oracle_euler_trail(d)
+        except AssertionError:
+            with pytest.raises(NotConnected):
+                euler_trail(d)
+        else:
+            assert euler_trail(d) == want
+
+    @pytest.mark.parametrize("p", [5, 9, 16, 31, 63])
+    def test_seeded_eulerian_digraphs(self, p):
+        rng = random.Random(700 + p)
+        for _ in range(12):
+            d = random_eulerian_edgeset(p, rng, rng.randint(1, 30))
+            if d.edge_count():
+                self.check(d)
+                assert span_lower_bound(d).witness == oracle_span_lower_bound(d)
+
+    @pytest.mark.parametrize("p", [6, 20, 63])
+    def test_vertex_separated_halves(self, p):
+        # two Eulerian digraphs side by side: the peel covers both, the
+        # trail is refused
+        rng = random.Random(800 + p)
+        h = p // 2
+        for _ in range(4):
+            low = random_eulerian_edgeset(h, rng, 8).edges()
+            high = random_eulerian_edgeset(p - h, rng, 8).edges()
+            self.check(EdgeSet(p, low + [(u + h, v + h) for (u, v) in high]))
+
+    def test_plan_any_deltas_at_9(self):
+        for d in plan_any_deltas_at_9():
+            if d.edge_count():
+                self.check(d)
+
+    def test_greedy_witness_on_the_span11_pool(self):
+        games = span11_pool_games()
+        assert len(games) == 84
+        for g, span_ in games:
+            lower = span_lower_bound(g)
+            assert lower.witness == oracle_span_lower_bound(g)
+            assert lower.span <= span_
+            assert euler_trail(g) == oracle_euler_trail(g)
 
 
 class TestSpan:

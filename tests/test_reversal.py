@@ -19,7 +19,7 @@ from gamegraphs.core import (
     reverse,
 )
 from gamegraphs.errors import NotACycle, NotSubgraph, ScoreMismatch, SizeMismatch
-from gamegraphs.eulerian import span, three_cycles
+from gamegraphs.eulerian import cycle_decomposition, euler_trail, span, three_cycles
 from gamegraphs.reversal import (
     ReversalPlan,
     apply_plan,
@@ -37,7 +37,9 @@ from gamegraphs.reversal import (
 
 from conftest import (
     disjoint_walk,
+    oracle_cycle_decomposition,
     oracle_delta,
+    oracle_euler_trail,
     oracle_plan_descent,
     oracle_reverse_subgraph,
     random_tournament,
@@ -225,6 +227,12 @@ class TestPlanAny:
         plan = plan_any(a, b)
         assert len(plan) == 264
         assert apply_plan(a, plan) == b
+
+    @pytest.mark.parametrize("seed", [0, 1, 18, 23])
+    def test_doubled_walk_delta_matches_edge_set_oracles(self, seed):
+        d = delta_id(*doubled_walk(seed, 100))
+        assert cycle_decomposition(d) == oracle_cycle_decomposition(d)
+        assert euler_trail(d) == oracle_euler_trail(d)
 
     def test_failed_certificate_raises_under_python_O(self):
         env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -443,7 +451,7 @@ def four_cycles(g):
 
 class TestDescentCases:
     def test_plus_minus_one_law_sampled_size7(self, g7i, g7ii, g7iii):
-        from gamegraphs.eulerian import span, three_cycles
+        from gamegraphs.eulerian import cycle_decomposition, euler_trail, span, three_cycles
 
         rng = random.Random(97)
         games = [g7i, g7ii, g7iii]
