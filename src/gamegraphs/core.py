@@ -363,11 +363,10 @@ def parse(text: str) -> Digraph:
         if len(ln) != p or set(ln) - {"0", "1"}:
             raise ParseError(f"bad row: {ln!r}")
         rows.append(sum(1 << j for j, c in enumerate(ln) if c == "1"))
-    g = from_rows(p, rows)
+    g = from_rows(p, rows)  # already of its strongest class
     kind = head[0]
-    flags = classify_digraph(g)
-    if kind == "tournament" and not flags.is_tournament:
+    if kind == "tournament" and not isinstance(g, Tournament):
         raise HeaderClassMismatch("header says tournament, bits are not")
-    if kind == "game" and not flags.is_game:
+    if kind == "game" and not isinstance(g, Game):
         raise HeaderClassMismatch("header says game, bits are not")
     return g

@@ -8,9 +8,9 @@ function takes a Digraph and reads its row masks or its sorted edge list.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import chain, groupby
 from math import comb
 from typing import Iterable, Optional, Sequence
 
@@ -46,85 +46,79 @@ def cycle_decomposition(d: Digraph) -> list[tuple[int, ...]]:
     """
     if not d.is_eulerian():
         raise NotEulerian("in/out degrees unbalanced")
-    remaining = set(d.edges())
+    return _peel(list(d.rows))
+
+
+def _peel(rows: list[int]) -> list[tuple[int, ...]]:
+    """The greedy peel on a row list, which it empties.
+
+    The least remaining edge is u -> v for the least u with a row left and
+    v the lowest bit of that row; the path v..u closes it.  No vertex below
+    u has an edge left, so each cycle already starts at its least vertex.
+    """
     out = []
-    while remaining:
-        (u, v) = min(remaining)
-        path = _simple_path(d.p, remaining, v, u)
-        if path is None:
-            raise NotEulerian("edge lies on no cycle")  # cannot happen when Eulerian
-        cyc = (u,) + tuple(path[:-1])
-        for e in cycle_edges(cyc):
-            remaining.remove(e)
-        out.append(normalize_cycle(cyc))
+    for u in range(len(rows)):
+        while rows[u]:
+            path = _simple_path(rows, (rows[u] & -rows[u]).bit_length() - 1, u)
+            if path is None:
+                raise NotEulerian("edge lies on no cycle")  # cannot happen when Eulerian
+            cyc = (u, *path)  # closed: ends at u again
+            for a, b in zip(cyc, cyc[1:]):
+                rows[a] &= ~(1 << b)
+            out.append(cyc[:-1])
     return out
 
 
-def _simple_path(p: int, edges: set[tuple[int, int]], src: int, dst: int) -> Optional[list[int]]:
-    """Vertex-simple path src..dst inside the edge set, least successor first.
+def _simple_path(rows: Sequence[int], src: int, dst: int) -> Optional[list[int]]:
+    """Vertex-simple path src..dst over the row masks, least successor first.
 
     A vertex whose subtree failed stays dead for the rest of the search:
     dst was unreachable from it avoiding the path above it, and any later
     path keeps a prefix of that path whose dropped vertices reached it and
     failed as well.  Skipping dead vertices leaves the returned path
-    unchanged, and no vertex is entered twice.
+    unchanged, and no vertex is entered twice: `seen` holds every vertex
+    entered, on the path or dead.
     """
-    succ: dict[int, list[int]] = defaultdict(list)
-    for (i, j) in sorted(edges):
-        succ[i].append(j)
-    dead: set[int] = set()
-
-    def dfs(v: int, visited: set[int], path: list[int]) -> Optional[list[int]]:
-        if v == dst:
+    seen = 1 << src
+    path, untried = [src], [rows[src]]  # untried[k]: successors of path[k] not yet tried
+    while path:
+        m = untried[-1] & ~seen
+        if not m:
+            path.pop()
+            untried.pop()
+            continue
+        b = m & -m
+        untried[-1] = m ^ b
+        w = b.bit_length() - 1
+        path.append(w)
+        if w == dst:
             return path
-        for w in succ[v]:
-            if w == dst or (w not in visited and w not in dead):
-                got = dfs(w, visited | {w}, path + [w])
-                if got is not None:
-                    return got
-        dead.add(v)
-        return None
-
-    return dfs(src, {src}, [src])
+        seen |= b
+        untried.append(rows[w])
+    return None
 
 
 def euler_trail(d: Digraph) -> list[int]:
     """Closed edge-simple trail covering every edge once (Hierholzer, least successor first)."""
-    p, edges = d.p, d.edges()
-    if not edges:
+    rows = list(d.rows)
+    if not any(rows):
         raise NotEulerian("empty edge set has no trail")
     if not d.is_eulerian():
         raise NotEulerian("in/out degrees unbalanced")
-    # weak connectivity over vertices with incident edges
-    parent = list(range(p))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for (i, j) in edges:
-        parent[find(i)] = find(j)
-    verts = {v for e in edges for v in e}
-    roots = {find(v) for v in verts}
-    if len(roots) > 1:
-        raise NotConnected("edge set splits into vertex-separated parts")
-
-    succ: dict[int, list[int]] = defaultdict(list)
-    for (i, j) in edges:
-        succ[i].append(j)
-    for v in succ:
-        succ[v].sort(reverse=True)
-    start = min(verts)
-    stack = [start]
+    stack = [next(v for v, r in enumerate(rows) if r)]
     trail: list[int] = []
     while stack:
         v = stack[-1]
-        if succ[v]:
-            stack.append(succ[v].pop())
+        if rows[v]:
+            b = rows[v] & -rows[v]
+            rows[v] ^= b
+            stack.append(b.bit_length() - 1)
         else:
             trail.append(stack.pop())
+    # in an Eulerian digraph the trail uses every edge of its start's weak
+    # component, so an edge left over lies in another one
+    if any(rows):
+        raise NotConnected("edge set splits into vertex-separated parts")
     trail.reverse()
     return trail
 
@@ -345,30 +339,30 @@ def span_lower_bound(d: Digraph) -> DecompReport:
     Walks the edges in sorted order and peels, through each edge still
     present, the 3-cycle closed by its least possible third vertex (one pass
     suffices: removing edges never creates a 3-cycle); what is left is
-    Eulerian and goes to `cycle_decomposition`.  The number of cycles is a
-    lower bound on the span, never below ceil(edges / vertices) since no
-    cycle is longer than the vertex count; balance here is an upper bound.
+    Eulerian and goes to the greedy peel of `cycle_decomposition`.  The
+    number of cycles is a lower bound on the span, never below
+    ceil(edges / vertices) since no cycle is longer than the vertex count;
+    balance here is an upper bound.
     """
     if not d.is_eulerian():
         raise NotEulerian("span needs balanced in/out degrees")
     out_rows = list(d.rows)
     in_rows = list(d._cols)
-    edges = d.edges()
     greedy: list[tuple[int, ...]] = []
-    for (u, v) in edges:
-        if not (out_rows[u] >> v) & 1:
-            continue
-        closing = out_rows[v] & in_rows[u]
-        if not closing:
-            continue
-        w = (closing & -closing).bit_length() - 1
-        for (a, b) in ((u, v), (v, w), (w, u)):
-            out_rows[a] &= ~(1 << b)
-            in_rows[b] &= ~(1 << a)
-        greedy.append(normalize_cycle((u, v, w)))
-    if any(out_rows):
-        greedy += cycle_decomposition(Digraph(d.p, out_rows))
-    ne, lb = len(edges), len(greedy)
+    for u in range(d.p):
+        for v in _bits(d.rows[u]):
+            if not (out_rows[u] >> v) & 1:
+                continue
+            closing = out_rows[v] & in_rows[u]
+            if not closing:
+                continue
+            w = (closing & -closing).bit_length() - 1
+            for (a, b) in ((u, v), (v, w), (w, u)):
+                out_rows[a] &= ~(1 << b)
+                in_rows[b] &= ~(1 << a)
+            greedy.append(normalize_cycle((u, v, w)))
+    greedy += _peel(out_rows)
+    ne, lb = d.edge_count(), len(greedy)
     return DecompReport(ne, lb, ne - 2 * lb, tuple(greedy))
 
 
@@ -520,18 +514,13 @@ def three_cycle_stats(g: Tournament) -> ThreeCycleStats:
     total is (2n+1)n(n+1)/6.
     """
     p = g.p
-    per = []
-    for i in range(p):
-        c = 0
-        for j in _bits(g.rows[i]):
-            c += bin(g.rows[j] & g._cols[i]).count("1")
-        per.append(c)
-    total = sum(per) // 3
+    tris = _three_cycles(g.rows, g._cols)
+    per = Counter(chain.from_iterable(tris))
     s2 = sum(g.out_degree(i) ** 2 for i in range(p))
     num = p * (p - 1) * (2 * p - 1) - 6 * s2
     if num % 12:
         raise InvariantViolation("3-cycle formula is not an integer")
-    return ThreeCycleStats(tuple(per), total, num // 12)
+    return ThreeCycleStats(tuple(per[v] for v in range(p)), len(tris), num // 12)
 
 
 def _three_cycles(rows: Sequence[int], cols: Sequence[int]) -> list[tuple[int, int, int]]:
@@ -560,11 +549,19 @@ def three_cycles(g: Digraph) -> list[tuple[int, int, int]]:
     return _three_cycles(g.rows, g._cols)
 
 
+# steiner_decomposition's budget of edges scanned, 2-4 s at p = 21-31: the
+# tests scan at most 84, and the p = 31 Steiner variants of the p = 15 variants
+# of the size-7 type II circulant up to 1.71 M, so `steiner_variants` reaches p = 63.
+_STEINER_WORK = 2_000_000
+
+
 def steiner_decomposition(g: Game) -> Optional[list[tuple[int, int, int]]]:
     """Exact-cover search for a decomposition of a game into 3-cycles.
 
     Returns a witness (automatically a maximum decomposition, with balance
-    n(2n+1)/3) or None when the game is not Steiner.
+    n(2n+1)/3) or None when the game is not Steiner.  Each node scans the
+    uncovered edges for the one with the fewest fitting 3-cycles; past
+    _STEINER_WORK edges scanned in all it raises BudgetExceeded.
     """
     if not isinstance(g, Game):
         raise InvariantViolation("steiner decomposition needs a game")
@@ -574,33 +571,31 @@ def steiner_decomposition(g: Game) -> Optional[list[tuple[int, int, int]]]:
     eidx = {e: k for k, e in enumerate(edges)}
     tris = three_cycles(g)
     tri_masks = []
-    for (a, b, c) in tris:
-        tri_masks.append((1 << eidx[(a, b)]) | (1 << eidx[(b, c)]) | (1 << eidx[(c, a)]))
     by_edge: list[list[int]] = [[] for _ in edges]
-    for ti, m in enumerate(tri_masks):
-        mm = m
-        while mm:
-            b = mm & -mm
-            by_edge[b.bit_length() - 1].append(ti)
-            mm ^= b
+    for ti, (a, b, c) in enumerate(tris):
+        ks = (eidx[(a, b)], eidx[(b, c)], eidx[(c, a)])
+        tri_masks.append(sum(1 << k for k in ks))
+        for k in ks:
+            by_edge[k].append(ti)
     full = (1 << len(edges)) - 1
     chosen: list[int] = []
+    work = 0
 
     def rec(mask: int) -> bool:
+        nonlocal work
         if mask == 0:
             return True
         # branch on the uncovered edge with fewest available triangles
-        best_e, best_opts = -1, None
-        m = mask
-        while m:
-            b = m & -m
-            e = b.bit_length() - 1
+        best_opts = None
+        for e in _bits(mask):
+            work += 1
+            if work > _STEINER_WORK:
+                raise BudgetExceeded(f"steiner search scanned more than {_STEINER_WORK} edges")
             opts = [ti for ti in by_edge[e] if tri_masks[ti] & mask == tri_masks[ti]]
             if best_opts is None or len(opts) < len(best_opts):
-                best_e, best_opts = e, opts
+                best_opts = opts
                 if not opts:
                     return False
-            m ^= b
         for ti in best_opts:  # type: ignore[union-attr]
             chosen.append(ti)
             if rec(mask ^ tri_masks[ti]):

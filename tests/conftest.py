@@ -8,18 +8,19 @@ game, the meet-in-the-middle Eulerian-subgraph count, the parity split by
 enumeration, and the difference graph and subgraph reversal edge by edge.
 Game-subset families come from a scan of every mask, and the greedy cycle
 peel, the 3-cycle-first greedy and the Euler trail run on edge sets with
-successor lists and a union-find.  Others keep the plain forms of searches the library now prunes or speeds up: the canonical
-refinement tree, whole or orbit-pruned, over the plain refinement step
-(every signature rebuilt from the bitmasks each round, in-colors always
-included) and the plain leaf value (all p^2 pairs), the simple-path DFS
-without its dead-end memory, the one-sided interchange BFS with its own
-3-cycle listing, the per-step descent planner that re-solves the span after
-every move, and the span branch and bound that files each cycle under every
-one of its edges and tests each child after the call.  The constructions
-keep their edge-by-edge forms: the double and its parts from edge lists,
-pointed realization and Eulerian completion that rebuild the graph after
-every reversed path, and the uniquely reducible extension found by testing
-every pair of every extension.
+successor lists and a union-find.  Others keep the plain forms of searches
+the library now prunes or speeds up: the canonical refinement tree, whole
+or orbit-pruned, over the plain refinement step (every signature rebuilt
+from the bitmasks each round, in-colors always included) and the plain leaf
+value (all p^2 pairs), the simple-path DFS without its dead-end memory, the
+one-sided interchange BFS with its own 3-cycle listing, the per-step descent
+planner that re-solves the span after every move, and the span branch and
+bound that files each cycle under every one of its edges and tests each
+child after the call.  The constructions keep their edge-by-edge forms:
+the double and its parts from edge lists, pointed realization and Eulerian
+completion that rebuild the graph after every reversed path, and the
+uniquely reducible extension found by testing every pair of every
+extension.
 """
 
 import random
@@ -48,7 +49,7 @@ from gamegraphs.eulerian import (
 )
 from gamegraphs.morph import _canon_search, automorphisms, canon_hex, canonical_form
 from gamegraphs.reversal import delta_id
-from gamegraphs.errors import NotSubgraph
+from gamegraphs.errors import NotConnected, NotSubgraph
 
 
 @pytest.fixture(scope="session")
@@ -138,20 +139,31 @@ def random_eulerian_edgeset(p: int, rng: random.Random, tries: int = 30) -> Edge
 
 def disjoint_walk(start: Game, steps: int, rng: random.Random) -> Game:
     """The game `steps` 3-cycle flips from start, no two flips sharing a
-    pair of vertices, so its interchange distance from start is `steps`."""
+    pair of vertices, so its interchange distance from start is `steps`.
+
+    Raises ValueError when no 3-cycle on three unused pairs is left.  That
+    check draws nothing from rng, so a walk that succeeds is unchanged."""
     p = start.p
     rows = list(start.rows)
     used = [0] * p  # used[a] has bit b once the pair {a, b} was flipped
+
+    def usable() -> bool:
+        free = [r & ~u for r, u in zip(rows, used)]  # edges on unused pairs
+        free_in = [sum(1 << c for c in range(p) if (free[c] >> a) & 1) for a in range(p)]
+        return any(free[b] & free_in[a] for a in range(p) for b in range(p) if (free[a] >> b) & 1)
+
     done = 0
     while done < steps:
         a = rng.randrange(p)
         outs = [j for j in range(p) if (rows[a] >> j) & 1 and not (used[a] >> j) & 1]
-        if not outs:
-            continue
-        b = rng.choice(outs)
-        closing = [c for c in range(p) if (rows[b] >> c) & 1 and (rows[c] >> a) & 1
-                   and not ((used[b] >> c) | (used[c] >> a)) & 1]
+        closing = []
+        if outs:
+            b = rng.choice(outs)
+            closing = [c for c in range(p) if (rows[b] >> c) & 1 and (rows[c] >> a) & 1
+                       and not ((used[b] >> c) | (used[c] >> a)) & 1]
         if not closing:
+            if not usable():
+                raise ValueError(f"no 3-cycle on unused pairs after {done} of {steps} flips")
             continue
         c = rng.choice(closing)
         for (x, y) in ((a, b), (b, c), (c, a)):
@@ -552,7 +564,8 @@ def oracle_euler_trail(d: Digraph) -> list:
     for (i, j) in edges:
         parent[find(i)] = find(j)
     verts = {v for e in edges for v in e}
-    assert len({find(v) for v in verts}) == 1, "edge set splits into vertex-separated parts"
+    if len({find(v) for v in verts}) > 1:
+        raise NotConnected("edge set splits into vertex-separated parts")
     succ = defaultdict(list)
     for (i, j) in sorted(edges, reverse=True):
         succ[i].append(j)

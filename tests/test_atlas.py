@@ -222,6 +222,11 @@ class TestBidirectional:
             # past one flip, both ends together store less than one side
             assert steps == 1 or stored < len(dist)
 
+    def test_disjoint_walk_past_the_pairs_raises(self):
+        # 8 flips need 24 pairs and C7 has 21: the walk stops with an error
+        with pytest.raises(ValueError, match="no 3-cycle on unused pairs"):
+            disjoint_walk(circulant(7, (1, 2, 3)), 8, random.Random(0))
+
     def test_pinned_stored_games(self, g7i):
         # both ends' dictionaries together; the one-sided search reaches
         # all 2,640 size-7 games before it gets to reverse(g7i)

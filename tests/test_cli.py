@@ -149,6 +149,15 @@ class TestAnalyze:
         code, stdout, _ = run(capsys, "analyze", "steiner", str(b))
         assert code == 0 and len(stdout.strip().split("\n")) == 7
 
+    def test_steiner_search_past_its_budget(self, tmp_path, capsys):
+        # the exact cover on this walk game runs far past its work budget
+        g = tmp_path / "r21.game"
+        argv = ["--size", "21", "--seed", "1", "--steps", "20", "-o", str(g)]
+        code, _, _ = run(capsys, "gen", "random", *argv)
+        assert code == 0
+        code, stdout, err = run(capsys, "analyze", "steiner", str(g))
+        assert code == 1 and stdout == "" and err.startswith("BudgetExceeded")
+
     def test_sep(self, tmp_path, capsys, c3):
         src = tmp_path / "c3.game"
         src.write_text(serialize(c3))

@@ -29,7 +29,7 @@ from gamegraphs.errors import (
     VertexOutOfRange,
 )
 
-from conftest import random_tournament
+from conftest import random_tournament, standard_order
 
 
 class TestMakeDigraph:
@@ -186,6 +186,18 @@ class TestTextFormat:
             parse("game 3\n010\n001\n000\n")
         with pytest.raises(HeaderClassMismatch):
             parse("tournament 3\n010\n000\n000\n")
+
+    def test_header_checked_against_the_class_found(self):
+        # a transitive tournament is no game; the empty tournament is
+        # Eulerian but of even size, so no game either
+        order = serialize(standard_order(3)).split("\n", 1)[1]
+        with pytest.raises(HeaderClassMismatch):
+            parse("game 3\n" + order)
+        assert type(parse("tournament 3\n" + order)) is Tournament
+        with pytest.raises(HeaderClassMismatch):
+            parse("game 0\n")
+        assert type(parse("tournament 0\n")) is Tournament
+        assert type(parse("digraph 3\n010\n001\n100\n")) is Game
 
     def test_parse_errors(self):
         with pytest.raises(ParseError):

@@ -10,7 +10,16 @@ from pathlib import Path
 
 import pytest
 
-from gamegraphs.core import EdgeSet, Permutation, circulant, from_rows, make_digraph, relabel, reverse, scores
+from gamegraphs.core import (
+    EdgeSet,
+    Permutation,
+    circulant,
+    from_rows,
+    make_digraph,
+    relabel,
+    reverse,
+    scores,
+)
 from gamegraphs.errors import (
     BadLength,
     BudgetExceeded,
@@ -39,6 +48,7 @@ from gamegraphs.eulerian import (
 from gamegraphs.reversal import ReversalPlan, apply_plan, delta_id
 
 from conftest import (
+    _oracle_tris,
     all_labeled_tournaments,
     disjoint_walk,
     oracle_count_mitm,
@@ -46,8 +56,8 @@ from conftest import (
     oracle_euler_trail,
     oracle_eulerian_count,
     oracle_simple_path,
-    oracle_span_lower_bound,
     oracle_span,
+    oracle_span_lower_bound,
     oracle_span_search,
     random_eulerian_edgeset,
     random_tournament,
@@ -96,6 +106,7 @@ def plan_any_deltas_at_9():
         for _ in range(4):
             out.append(delta_id(a, disjoint_walk(a, steps, rng)))
     return out
+
 
 # span's certificates must raise even when asserts are stripped: the
 # search's witness is broken by listing every cycle backwards (the masks,
@@ -189,10 +200,11 @@ class TestSimplePath:
             p = rng.randint(4, 9)
             t = random_tournament(p, rng)
             edges = {e for e in t.edges() if rng.random() < 0.7}
+            rows = EdgeSet(p, edges).rows
             for src in range(p):
                 for dst in range(p):
                     if src != dst:
-                        assert _simple_path(p, edges, src, dst) == oracle_simple_path(edges, src, dst)
+                        assert _simple_path(rows, src, dst) == oracle_simple_path(edges, src, dst)
 
 
 class TestEulerTrail:
@@ -224,7 +236,7 @@ class TestRowPeelAgainstEdgeSetOracles:
         assert cycle_decomposition(d) == oracle_cycle_decomposition(d)
         try:
             want = oracle_euler_trail(d)
-        except AssertionError:
+        except NotConnected:
             with pytest.raises(NotConnected):
                 euler_trail(d)
         else:
@@ -552,6 +564,17 @@ class TestThreeCycleStats:
                 st = three_cycle_stats(g)
                 assert st.total == st.formula_total
                 assert st.total == len(three_cycles(g))
+
+    def test_per_vertex_counts_against_the_plain_listing(self):
+        # non-regular tournaments (scores checked) and games from walks
+        rng = random.Random(37)
+        graphs = [random_tournament(p, rng) for p in (4, 5, 7, 9, 12) for _ in range(4)]
+        assert sum(len(set(scores(g))) > 1 for g in graphs) == len(graphs)
+        graphs += [disjoint_walk(circulant(p, range(1, (p + 1) // 2)), 3, rng)
+                   for p in (7, 11, 15, 31)]
+        for g in graphs:
+            per = Counter(v for tri in _oracle_tris(g.rows, g.p) for v in tri)
+            assert three_cycle_stats(g).per_vertex == tuple(per[v] for v in range(g.p))
 
     def test_three_cycles_sorted_and_complete(self):
         rng = random.Random(31)
