@@ -20,7 +20,9 @@ child after the call.  The constructions keep their edge-by-edge forms:
 the double and its parts from edge lists, pointed realization and Eulerian
 completion that rebuild the graph after every reversed path, and the
 uniquely reducible extension found by testing every pair of every
-extension.
+extension.  So do the lexicographic product, edge by edge, and the
+vertex-set forms of the SEP check, saturation, embedding extension, the
+reducibility graph and double recognition, each tested pair by pair.
 """
 
 import random
@@ -35,9 +37,12 @@ from gamegraphs.core import (
     Digraph,
     EdgeSet,
     Game,
+    Permutation,
     circulant,
     from_rows,
     make_digraph,
+    relabel,
+    restrict,
 )
 from gamegraphs.eulerian import (
     DecompReport,
@@ -49,7 +54,7 @@ from gamegraphs.eulerian import (
 )
 from gamegraphs.morph import _canon_search, automorphisms, canon_hex, canonical_form
 from gamegraphs.reversal import delta_id
-from gamegraphs.errors import NotConnected, NotSubgraph
+from gamegraphs.errors import NotConnected, NotSubgraph, SepExhausted
 
 
 @pytest.fixture(scope="session")
@@ -120,6 +125,19 @@ def random_tournament(p: int, rng: random.Random) -> Digraph:
             if rng.random() < 0.5:
                 rows[i] |= 1 << j
             else:
+                rows[j] |= 1 << i
+    return from_rows(p, rows)
+
+
+def random_digraph(p: int, rng: random.Random) -> Digraph:
+    """Each pair of vertices unjoined or joined one way, a third each."""
+    rows = [0] * p
+    for i in range(p):
+        for j in range(i + 1, p):
+            x = rng.randrange(3)
+            if x == 1:
+                rows[i] |= 1 << j
+            elif x == 2:
                 rows[j] |= 1 << i
     return from_rows(p, rows)
 
@@ -912,3 +930,152 @@ def oracle_uniquely_reducible_extension(pi: Digraph):
         if len(pairs) == 1:
             return g
     return None
+
+
+def oracle_lex_product(gamma: Digraph, pi: Digraph) -> Digraph:
+    """gamma lex pi edge by edge on (i, j) -> i*|pi| + j: (i1, j1) -> (i2, j2)
+    exactly when i1 -> i2, or i1 = i2 and j1 -> j2."""
+    q = pi.p
+    edges = []
+    for i1 in range(gamma.p):
+        for j1 in range(q):
+            for i2 in range(gamma.p):
+                for j2 in range(q):
+                    if gamma.has_edge(i1, i2) or (i1 == i2 and pi.has_edge(j1, j2)):
+                        edges.append((i1 * q + j1, i2 * q + j2))
+    return make_digraph(gamma.p * q, edges)
+
+
+def oracle_has_sep(g: Digraph, T0):
+    """SEP witnesses with vertex sets: for every subset J of T0, in mask
+    order, the first outside vertex that beats all of J and loses to the rest
+    of T0, one edge test per anchor.  Returns (ok, witness, failing J)."""
+    t0 = sorted(set(T0))
+    outside = [v for v in range(g.p) if v not in set(t0)]
+    witness = {}
+    for mask in range(1 << len(t0)):
+        J = [t0[k] for k in range(len(t0)) if (mask >> k) & 1]
+        jset = set(J)
+        found = None
+        for v in outside:
+            if all(g.has_edge(v, j) for j in J) and all(g.has_edge(j, v) for j in t0 if j not in jset):
+                found = v
+                break
+        if found is None:
+            return False, witness, frozenset(J)
+        witness[frozenset(J)] = found
+    return True, witness, None
+
+
+def oracle_saturate(t: Digraph):
+    """One saturation stage bit by bit: chooser s + mask beats the anchors in
+    mask and every chooser with a larger mask; the other anchors beat it."""
+    s = t.p
+    p = s + (1 << s)
+    rows = list(t.rows) + [0] * (1 << s)
+    labels = {}
+    for mask in range(1 << s):
+        v = s + mask
+        labels[v] = frozenset(k for k in range(s) if (mask >> k) & 1)
+        for k in range(s):
+            if (mask >> k) & 1:
+                rows[v] |= 1 << k
+            else:
+                rows[k] |= 1 << v
+        for other in range(mask + 1, 1 << s):
+            rows[v] |= 1 << (s + other)
+    return from_rows(p, rows), labels
+
+
+def oracle_extend_embedding(pi: Digraph, S0, rho: dict, gamma: Digraph) -> dict:
+    """Backtracking embedding extension with vertex sets: each unplaced vertex
+    of pi, ascending, takes the least unused vertex of gamma whose edges to
+    every placed image match, tested pair by pair."""
+    placed = dict(rho)
+    s0 = sorted(set(S0))
+    if sorted(placed) != s0:
+        raise SepExhausted("rho must be defined exactly on S0")
+    for a in s0:
+        for b in s0:
+            if a != b and pi.has_edge(a, b) != gamma.has_edge(placed[a], placed[b]):
+                raise SepExhausted("rho is not an embedding of pi|S0")
+    todo = [v for v in range(pi.p) if v not in placed]
+
+    def rec(k: int) -> bool:
+        if k == len(todo):
+            return True
+        v = todo[k]
+        used = set(placed.values())
+        for w in range(gamma.p):
+            if w in used:
+                continue
+            if all(
+                gamma.has_edge(w, placed[u]) == pi.has_edge(v, u)
+                and gamma.has_edge(placed[u], w) == pi.has_edge(u, v)
+                for u in placed
+            ):
+                placed[v] = w
+                if rec(k + 1):
+                    return True
+                del placed[v]
+        return False
+
+    if not rec(0):
+        raise SepExhausted("gamma cannot absorb the remaining vertices")
+    return placed
+
+
+def oracle_reducibility_graph(g: Game):
+    """rPi from the edge list: successor and predecessor dicts, the cycle
+    followed from the least vertex, the paths from their heads.  Returns
+    (edges, kind, components)."""
+    rows = [sum(1 << j for j in _set_bits(r) if not g.rows[i] & g.rows[j]) for i, r in enumerate(g.rows)]
+    edges = Digraph(g.p, rows)
+    es = edges.edges()
+    if not es:
+        return edges, "empty", ()
+    nxt = {i: j for (i, j) in es}
+    prv = {j: i for (i, j) in es}
+    if len(nxt) != len(es) or len(prv) != len(es):
+        raise ValueError("a vertex has two reducible out-edges or two reducible in-edges")
+    if len(es) == g.p:
+        start = min(nxt)
+        cyc = [start]
+        while nxt[cyc[-1]] != start:
+            cyc.append(nxt[cyc[-1]])
+        return edges, "hamiltonian_cycle", (tuple(cyc),)
+    comps = []
+    for h in sorted(i for i in nxt if i not in prv):
+        path = [h]
+        while path[-1] in nxt:
+            path.append(nxt[path[-1]])
+        comps.append(tuple(path))
+    return edges, "paths", tuple(comps)
+
+
+def oracle_is_double(g: Game, base: int):
+    """The source tournament of a double structure pointed at base, or None:
+    each output of the base must have a reducible partner among its inputs,
+    the partners distinct, and relabelling g onto the double chart must
+    rebuild the double of the outputs' restriction exactly."""
+    edges, _, _ = oracle_reducibility_graph(g)
+    nxt = {i: j for (i, j) in edges.edges()}
+    i_minus = g.out_set(base)
+    i_plus = set(g.in_set(base))
+    pairing = {}
+    for i in i_minus:
+        j = nxt.get(i)
+        if j is None or j not in i_plus:
+            return None
+        pairing[i] = j
+    if len(set(pairing.values())) != len(i_minus):
+        return None
+    source, sidx = restrict(g, i_minus)
+    n = len(i_minus)
+    image = [0] * g.p
+    for i in i_minus:
+        image[i] = 1 + sidx[i]
+        image[pairing[i]] = 1 + n + sidx[i]
+    if relabel(g, Permutation(image)) != oracle_double(source):
+        return None
+    return source

@@ -9,6 +9,7 @@ import pytest
 from gamegraphs.core import (
     EdgeSet,
     Game,
+    Permutation,
     Tournament,
     circulant,
     classify_digraph,
@@ -63,9 +64,16 @@ from conftest import (
     oracle_double,
     oracle_double_part,
     oracle_eulerian_to_game,
+    oracle_extend_embedding,
+    oracle_has_sep,
+    oracle_is_double,
+    oracle_lex_product,
     oracle_realize_pointed,
+    oracle_reducibility_graph,
     oracle_reverse_subgraph,
+    oracle_saturate,
     oracle_uniquely_reducible_extension,
+    random_digraph,
     random_eulerian_edgeset,
     random_tournament,
     standard_order,
@@ -737,8 +745,9 @@ class TestMiscLaws:
 
 
 class TestAgainstOracles:
-    """The builders against the edge-by-edge oracles of conftest on seeded
-    inputs: tournaments up to 31 vertices, Eulerian digraphs up to 63."""
+    """The builders against the edge-by-edge and vertex-set oracles of
+    conftest on seeded inputs: tournaments up to 31 vertices, Eulerian
+    digraphs up to 63, products up to 64."""
 
     def test_double_and_parts(self):
         rng = random.Random(151)
@@ -797,3 +806,88 @@ class TestAgainstOracles:
                     uniquely_reducible_extension(pi)
             else:
                 assert uniquely_reducible_extension(pi)[0] == want
+
+    def test_lex_product(self):
+        rng = random.Random(179)
+        sizes = ((0, 3), (3, 0), (1, 1), (3, 1), (1, 5), (2, 3), (5, 3), (4, 4), (7, 9), (8, 8), (3, 21), (21, 3))
+        for a, b in sizes:
+            for make in (random_tournament, random_digraph):
+                gamma, pi = make(a, rng), make(b, rng)
+                assert lex_product(gamma, pi) == oracle_lex_product(gamma, pi)
+
+    def test_has_sep(self):
+        rng = random.Random(181)
+        cases = []
+        for p in (1, 3, 5, 8, 11, 15):
+            for make in (random_tournament, random_digraph):
+                for _ in range(5):
+                    cases.append((make(p, rng), rng.sample(range(p), rng.randint(0, min(6, p)))))
+        s2, _ = saturate(saturate(Tournament(1, (0,)))[0])
+        cases += [(s2, [0, 1, 2]), (s2, [2, 0]), (s2, [0, 1, 2, 3]), (circulant(11, (1, 3, 4, 5, 9)), [0, 3])]
+        outcomes = set()
+        for g, t0 in cases:
+            rep = has_sep(g, t0)
+            ok, witness, failing = oracle_has_sep(g, t0)
+            assert (rep.ok, list(rep.witness.items()), rep.failing) == (ok, list(witness.items()), failing)
+            outcomes.add(ok)
+        assert outcomes == {True, False}
+
+    def test_saturate(self):
+        rng = random.Random(191)
+        for s in range(6):
+            for t in (standard_order(s), random_tournament(s, rng)):
+                got, labels = saturate(t)
+                want, want_labels = oracle_saturate(t)
+                assert got == want
+                assert list(labels.items()) == list(want_labels.items())
+
+    def test_extend_embedding(self):
+        s2, _ = saturate(saturate(Tournament(1, (0,)))[0])
+        cases = [(t, [0], {0: a}, s2) for n in (3, 4) for t in all_labeled_tournaments(n) for a in range(s2.p)]
+        rng = random.Random(193)
+        for _ in range(40):
+            gamma, pi = random_tournament(11, rng), random_tournament(rng.randint(2, 5), rng)
+            k = rng.randint(1, 2)
+            S0 = rng.sample(range(pi.p), k)
+            cases.append((pi, S0, dict(zip(S0, rng.sample(range(11), k))), gamma))
+        outcomes = set()
+        for pi, S0, rho, gamma in cases:
+            try:
+                want = oracle_extend_embedding(pi, S0, rho, gamma)
+            except SepExhausted:
+                with pytest.raises(SepExhausted):
+                    extend_embedding(pi, S0, rho, gamma)
+                outcomes.add(False)
+            else:
+                assert list(extend_embedding(pi, S0, rho, gamma).items()) == list(want.items())
+                outcomes.add(True)
+        assert outcomes == {True, False}
+
+    def test_reducibility_graph_and_is_double(self, c3, g5, g7i, g7ii, g7iii):
+        rng = random.Random(197)
+
+        def shuffled(g):
+            image = list(range(g.p))
+            rng.shuffle(image)
+            return relabel(g, Permutation(image)), image
+
+        games = [shuffled(rep)[0] for rep in (g7i, g7ii, g7iii) for _ in range(4)]
+        games += [g5, circulant(9, (1, 2, 3, 4)), shuffled(circulant(11, range(1, 6)))[0]]
+        games += [nonreducible_from(pi) for pi in (c3, g7ii, disjoint_walk(circulant(9, (1, 2, 3, 4)), 3, rng))]
+        games += [disjoint_walk(circulant(p, range(1, (p + 1) // 2)), k, rng) for p, k in ((9, 2), (11, 4), (15, 6), (21, 5))]
+        doubles = []
+        for n in (1, 2, 3, 5, 8, 13):
+            t = random_tournament(n, rng)
+            g = double(t)[0]
+            moved, image = shuffled(g)
+            doubles += [(g, 0, t), (moved, image[0], None)]
+            games += [g, moved]
+        for g in games:
+            rep = reducibility_graph(g)
+            assert (rep.edges, rep.kind, rep.components) == oracle_reducibility_graph(g)
+            for base in range(g.p):
+                lay = is_double(g, base)
+                assert (None if lay is None else lay.source) == oracle_is_double(g, base)
+        for g, base, t in doubles:
+            lay = is_double(g, base)
+            assert lay is not None and (t is None or lay.source == t)
