@@ -39,7 +39,7 @@ from .errors import (
     TooSmall,
     VertexOutOfRange,
 )
-from .eulerian import steiner_decomposition
+from .eulerian import _check_cover, steiner_decomposition
 from .reversal import _reverse_cycle, _reverse_path, reverse_subgraph
 
 
@@ -106,19 +106,7 @@ def double_layer_edges(lay: DoubleLayout, sign: int) -> Digraph:
 def lex_product(gamma: Digraph, pi: Digraph) -> Digraph:
     """Gamma lex pi on pairs (i, j) -> index i*|pi| + j: first coordinate
     dominates, ties broken by the second."""
-    q = pi.p
-    p = gamma.p * q
-    _check_vertex_count(p)
-    rows = [0] * p
-    for i1 in range(gamma.p):
-        for j1 in range(q):
-            a = i1 * q + j1
-            for i2 in _bits(gamma.rows[i1]):
-                for j2 in range(q):
-                    rows[a] |= 1 << (i2 * q + j2)
-            for j2 in _bits(pi.rows[j1]):
-                rows[a] |= 1 << (i1 * q + j2)
-    return from_rows(p, rows)
+    return generalized_lex(gamma, [pi] * gamma.p)[0]
 
 
 def generalized_lex(gamma: Digraph, fibers: Sequence[Digraph]) -> tuple[Digraph, list[int]]:
@@ -208,29 +196,28 @@ class ReducibilityReport:
 
 
 def reducibility_graph(g: Game) -> ReducibilityReport:
+    """Each vertex's single reducible partner is the one bit of its row."""
     rows = [sum(1 << j for j in _bits(r) if is_reducible_via(g, i, j)) for i, r in enumerate(g.rows)]
     edges = Digraph(g.p, rows)
-    es = edges.edges()
-    if not es:
-        return ReducibilityReport(edges, "empty", ())
-    nxt = {i: j for (i, j) in es}
-    prv = {j: i for (i, j) in es}
-    if len(nxt) != len(es) or len(prv) != len(es):
+    if any(m & (m - 1) for m in rows + [edges.in_mask(v) for v in range(g.p)]):
         raise InvariantViolation("a vertex has two reducible out-edges or two reducible in-edges")
-    if len(es) == g.p:
-        start = min(nxt)
-        cyc = [start]
-        while nxt[cyc[-1]] != start:
+    ne = edges.edge_count()
+    if not ne:
+        return ReducibilityReport(edges, "empty", ())
+    nxt = [r.bit_length() - 1 for r in rows]  # -1: no reducible out-edge
+    if ne == g.p:
+        cyc = [0]
+        while nxt[cyc[-1]] != 0:
             cyc.append(nxt[cyc[-1]])
         return ReducibilityReport(edges, "hamiltonian_cycle", (tuple(cyc),))
     comps = []
-    heads = sorted(i for i in nxt if i not in prv)
-    for h in heads:
-        path = [h]
-        while path[-1] in nxt:
-            path.append(nxt[path[-1]])
-        comps.append(tuple(path))
-    if sum(len(c) - 1 for c in comps) != len(es):
+    for h in range(g.p):
+        if rows[h] and not edges.in_mask(h):
+            path = [h]
+            while nxt[path[-1]] >= 0:
+                path.append(nxt[path[-1]])
+            comps.append(tuple(path))
+    if sum(len(c) - 1 for c in comps) != ne:
         raise InvariantViolation("the reducibility paths miss a reducible edge")
     return ReducibilityReport(edges, "paths", tuple(comps))
 
@@ -393,11 +380,7 @@ def embed_in_game(t: Tournament) -> tuple[Game, list[int]]:
         raise TooSmall("need at least one vertex")
     if n == 1:
         return Game(1, (0,)), [0]
-    order_rows = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            order_rows[i] |= 1 << j
-    order = from_rows(n, order_rows)
+    order = from_rows(n, [((1 << n) - 1) ^ ((2 << i) - 1) for i in range(n)])  # i beats every j > i
     g, lay = realize_pointed(order, t)
     u = lay.plus(0)  # score n-1 inside the upper copy
     if not is_reducible_via(g, u, lay.base):
@@ -476,22 +459,9 @@ def steiner_variants(pi: Game) -> list[SteinerVariant]:
                     lay.minus(spots[f]) if s < 0 else lay.plus(spots[f]) for (f, s) in tri
                 )
                 witness.append(verts)  # type: ignore[arg-type]
-        _validate_steiner_witness(gv, witness)
+        _check_cover(gv.rows, witness)
         out.append(SteinerVariant(name, gv, tuple(witness)))
     return out
-
-
-def _validate_steiner_witness(g: Game, witness: Sequence[tuple[int, int, int]]) -> None:
-    seen: set[tuple[int, int]] = set()
-    for (a, b, c) in witness:
-        for (x, y) in ((a, b), (b, c), (c, a)):
-            if not g.has_edge(x, y):
-                raise InvariantViolation(f"witness edge {x}->{y} missing")
-            if (x, y) in seen:
-                raise InvariantViolation(f"witness reuses edge {x}->{y}")
-            seen.add((x, y))
-    if len(seen) != g.edge_count():
-        raise InvariantViolation("witness does not cover the game")
 
 
 def nonreducible_from(pi: Game) -> Game:
@@ -515,16 +485,14 @@ def uniquely_reducible_extension(pi: Game, K: Optional[Iterable[int]] = None) ->
     p = pi.p
     n = (p + 1) // 2
     rep = reducibility_graph(pi)
-    paths = [set(c) for c in rep.components]
-    taboo = {frozenset(pi.out_set(i)) for i in range(p)}
-    taboo |= {frozenset(pi.in_set(i)) for i in range(p)}
+    paths = [sum(1 << v for v in c) for c in rep.components]
+    taboo = {*pi.rows, *(pi.in_mask(i) for i in range(p))}
 
     def good(ks: tuple[int, ...]) -> bool:
-        kset = set(ks)
-        if any(path & kset and not path <= kset for path in paths):
+        kmask = sum(1 << k for k in ks)
+        if any(path & kmask and path & ~kmask for path in paths):
             return False
-        comp = frozenset(set(range(p)) - kset)
-        return comp not in taboo
+        return (((1 << p) - 1) ^ kmask) not in taboo
 
     if K is not None:
         ks = _k_vertices(pi, K)
@@ -554,25 +522,16 @@ def is_double(g: Game, base: int) -> Optional[DoubleLayout]:
     out-pair per vertex), so the check is a lookup in the reducibility graph
     followed by one exact comparison against the rebuilt double.
     """
-    rep = reducibility_graph(g)
-    nxt = {i: j for (i, j) in rep.edges.edges()}
+    partner = reducibility_graph(g).edges.rows
     i_minus = g.out_set(base)
-    i_plus = set(g.in_set(base))
-    pairing = {}
-    for i in i_minus:
-        j = nxt.get(i)
-        if j is None or j not in i_plus:
-            return None
-        pairing[i] = j
-    if len(set(pairing.values())) != len(i_minus):
+    if any(not partner[i] & g.in_mask(base) for i in i_minus):
         return None
     source, sidx = restrict(g, i_minus)
     rebuilt, lay = double(source)
-    image = [0] * g.p
-    image[base] = 0
+    image = [0] * g.p  # the base goes to 0
     for i in i_minus:
         image[i] = lay.minus(sidx[i])
-        image[pairing[i]] = lay.plus(sidx[i])
+        image[partner[i].bit_length() - 1] = lay.plus(sidx[i])
     if relabel(g, Permutation(image)) != rebuilt:
         return None
     return lay
@@ -589,27 +548,29 @@ class SepReport:
 
 
 def has_sep(g: Tournament, T0: Iterable[int]) -> SepReport:
-    """Witness map J -> v_J (v_J beats exactly J inside T0), or the first failing J."""
-    t0 = sorted(set(T0))
-    if t0 and not (0 <= t0[0] and t0[-1] < g.p):
-        raise VertexOutOfRange(f"anchor vertices must lie in 0..{g.p - 1}")
+    """Witness map J -> v_J (v_J beats exactly J inside T0), or the first failing J.
+
+    v_J is the least outside vertex joined to every anchor whose row meets
+    the anchors in exactly J: one lookup per J, keyed by that mask."""
+    anchors = 0
+    for v in T0:
+        if not 0 <= v < g.p:
+            raise VertexOutOfRange(f"anchor vertices must lie in 0..{g.p - 1}")
+        anchors |= 1 << v
+    t0 = list(_bits(anchors))
     if len(t0) > 20:
         raise TooLarge("2^|T0| subsets is past the budget")
-    outside = [v for v in range(g.p) if v not in set(t0)]
+    least: dict[int, int] = {}
+    for v in _bits(((1 << g.p) - 1) & ~anchors):
+        if (g.rows[v] | g.in_mask(v)) & anchors == anchors:
+            least.setdefault(g.rows[v] & anchors, v)
     witness: dict[frozenset[int], int] = {}
     for mask in range(1 << len(t0)):
-        J = [t0[k] for k in range(len(t0)) if (mask >> k) & 1]
-        jset = set(J)
-        found = None
-        for v in outside:
-            if all(g.has_edge(v, j) for j in J) and all(
-                g.has_edge(j, v) for j in t0 if j not in jset
-            ):
-                found = v
-                break
+        jmask = sum(1 << t0[k] for k in _bits(mask))
+        found = least.get(jmask)
         if found is None:
-            return SepReport(False, witness, frozenset(J))
-        witness[frozenset(J)] = found
+            return SepReport(False, witness, frozenset(_bits(jmask)))
+        witness[frozenset(_bits(jmask))] = found
     return SepReport(True, witness, None)
 
 
@@ -624,20 +585,15 @@ def saturate(t: Tournament) -> tuple[Tournament, dict[int, frozenset[int]]]:
     p = s + (1 << s)
     if p > MAX_VERTICES:
         raise TooLarge(f"saturating {s} vertices gives {p} > {MAX_VERTICES}")
-    rows = [0] * p
-    for i in range(s):
-        rows[i] = t.rows[i]
+    full = (1 << p) - 1
+    rows = list(t.rows)
     labels: dict[int, frozenset[int]] = {}
     for mask in range(1 << s):
         v = s + mask
-        labels[v] = frozenset(k for k in range(s) if (mask >> k) & 1)
-        for k in range(s):
-            if (mask >> k) & 1:
-                rows[v] |= 1 << k
-            else:
-                rows[k] |= 1 << v
-        for other in range(mask + 1, 1 << s):
-            rows[v] |= 1 << (s + other)
+        labels[v] = frozenset(_bits(mask))
+        rows.append(mask | (full ^ ((2 << v) - 1)))
+        for k in _bits(((1 << s) - 1) ^ mask):
+            rows[k] |= 1 << v
     return Tournament(p, rows), labels
 
 
@@ -653,34 +609,31 @@ def extend_embedding(
     Raises SepExhausted when gamma has no room for some extension step.
     """
     placed = dict(rho)
-    s0 = sorted(set(S0))
-    if sorted(placed) != s0:
+    s0 = sorted(placed)
+    if s0 != sorted(dict.fromkeys(S0)):
         raise SepExhausted("rho must be defined exactly on S0")
     for a in s0:
         for b in s0:
             if a != b and pi.has_edge(a, b) != gamma.has_edge(placed[a], placed[b]):
                 raise SepExhausted("rho is not an embedding of pi|S0")
     todo = [v for v in range(pi.p) if v not in placed]
+    free = (1 << gamma.p) - 1
 
-    def rec(k: int) -> bool:
+    def rec(k: int, done: int, used: int) -> bool:
+        # done: the placed vertices of pi; used: their images in gamma
         if k == len(todo):
             return True
         v = todo[k]
-        used = set(placed.values())
-        for w in range(gamma.p):
-            if w in used:
-                continue
-            if all(
-                gamma.has_edge(w, placed[u]) == pi.has_edge(v, u)
-                and gamma.has_edge(placed[u], w) == pi.has_edge(u, v)
-                for u in placed
-            ):
+        out = sum(1 << placed[u] for u in _bits(pi.rows[v] & done))
+        inn = sum(1 << placed[u] for u in _bits(pi.in_mask(v) & done))
+        for w in _bits(free & ~used):
+            if gamma.rows[w] & used == out and gamma.in_mask(w) & used == inn:
                 placed[v] = w
-                if rec(k + 1):
+                if rec(k + 1, done | 1 << v, used | 1 << w):
                     return True
                 del placed[v]
         return False
 
-    if not rec(0):
+    if not rec(0, sum(1 << a for a in placed), sum(1 << w for w in placed.values())):
         raise SepExhausted("gamma cannot absorb the remaining vertices")
     return placed

@@ -172,7 +172,8 @@ def _strongest(g: Digraph) -> Digraph:
 
 def circulant(p: int, diffs: Iterable[int]) -> Digraph:
     """Digraph on Z_p with i -> i+d (mod p) for each difference d."""
-    ds = sorted({d % p for d in diffs})
+    _check_vertex_count(p)
+    ds = sorted({d % p for d in diffs}) if p else []
     rows = [0] * p
     for i in range(p):
         for d in ds:
@@ -338,8 +339,7 @@ def serialize(g: Digraph) -> str:
     flags = classify_digraph(g)
     kind = "game" if flags.is_game else ("tournament" if flags.is_tournament else "digraph")
     lines = [f"{kind} {g.p}"]
-    for i in range(g.p):
-        lines.append("".join("1" if (g.rows[i] >> j) & 1 else "0" for j in range(g.p)))
+    lines += [format(r, f"0{g.p}b")[::-1] for r in g.rows]
     return "\n".join(lines) + "\n"
 
 
@@ -362,7 +362,7 @@ def parse(text: str) -> Digraph:
         ln = ln.strip()
         if len(ln) != p or set(ln) - {"0", "1"}:
             raise ParseError(f"bad row: {ln!r}")
-        rows.append(sum(1 << j for j, c in enumerate(ln) if c == "1"))
+        rows.append(int(ln[::-1], 2))
     g = from_rows(p, rows)  # already of its strongest class
     kind = head[0]
     if kind == "tournament" and not isinstance(g, Tournament):

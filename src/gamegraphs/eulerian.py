@@ -259,9 +259,9 @@ def span(d: Digraph, node_budget: int = 50_000_000, cycle_budget: int = 2_000_00
     nodes = 1  # the root
     if nodes > node_budget:
         raise BudgetExceeded(f"span search exceeded {node_budget} nodes")
-    edges = d.edges()
     if ne // 3 <= best:
-        return _checked_report(edges, best, lower.witness)
+        return _checked_report(d, best, lower.witness)
+    edges = d.edges()
     order, tau = _feedback_order(d)
     if sorted(order) != [v for v in range(d.p) if d.rows[v]]:
         raise InvariantViolation("feedback order is not a permutation of the vertices with edges")
@@ -270,7 +270,7 @@ def span(d: Digraph, node_budget: int = 50_000_000, cycle_budget: int = 2_000_00
     if back.bit_count() != tau:
         raise InvariantViolation(f"feedback order has {back.bit_count()} backward edges, not tau = {tau}")
     if tau <= best:
-        return _checked_report(edges, best, lower.witness)
+        return _checked_report(d, best, lower.witness)
     cycles = _all_cycles(d.p, edges, cycle_budget, max(3, ne - 3 * best))
     through: list[list[tuple[int, int, int]]] = [[] for _ in range(ne)]
     for ci, (length, _, mask) in enumerate(cycles):
@@ -317,19 +317,32 @@ def span(d: Digraph, node_budget: int = 50_000_000, cycle_budget: int = 2_000_00
         witness = lower.witness
     else:
         witness = tuple(normalize_cycle(cycles[ci][1]) for ci in best_stack)
-    return _checked_report(edges, best, witness)
+    return _checked_report(d, best, witness)
 
 
-def _checked_report(
-    edges: list[tuple[int, int]], best: int, witness: tuple[tuple[int, ...], ...]
-) -> DecompReport:
+def _checked_report(d: Digraph, best: int, witness: tuple[tuple[int, ...], ...]) -> DecompReport:
     """The span report, once the witness is checked to cover the edges
     disjointly with best cycles."""
-    ne = len(edges)
-    covered = [e for cyc in witness for e in cycle_edges(cyc)]
-    if len(witness) != best or len(covered) != ne or set(covered) != set(edges):
-        raise InvariantViolation("span witness does not decompose the edges into span cycles")
+    if len(witness) != best:
+        raise InvariantViolation(f"span witness has {len(witness)} cycles, not {best}")
+    _check_cover(d.rows, witness)
+    ne = d.edge_count()
     return DecompReport(ne, best, ne - 2 * best, witness)
+
+
+def _check_cover(rows: Sequence[int], cycles: Iterable[Sequence[int]]) -> None:
+    """The one decomposition certificate: clears each cycle edge from a copy
+    of the rows and raises InvariantViolation when an edge is missing or used
+    twice, or when an edge is left uncovered."""
+    left = list(rows)
+    for cyc in cycles:
+        for a, b in zip(cyc, (*cyc[1:], cyc[0])):
+            if not (left[a] >> b) & 1:
+                why = "used twice" if (rows[a] >> b) & 1 else "missing"
+                raise InvariantViolation(f"cycle edge {a}->{b} {why}")
+            left[a] ^= 1 << b
+    if any(left):
+        raise InvariantViolation("the cycles leave an edge uncovered")
 
 
 def span_lower_bound(d: Digraph) -> DecompReport:
@@ -559,9 +572,10 @@ def steiner_decomposition(g: Game) -> Optional[list[tuple[int, int, int]]]:
     """Exact-cover search for a decomposition of a game into 3-cycles.
 
     Returns a witness (automatically a maximum decomposition, with balance
-    n(2n+1)/3) or None when the game is not Steiner.  Each node scans the
-    uncovered edges for the one with the fewest fitting 3-cycles; past
-    _STEINER_WORK edges scanned in all it raises BudgetExceeded.
+    n(2n+1)/3), checked by `_check_cover`, or None when the game is not
+    Steiner.  Each node scans the uncovered edges for the one with the
+    fewest fitting 3-cycles; past _STEINER_WORK edges scanned in all it
+    raises BudgetExceeded.
     """
     if not isinstance(g, Game):
         raise InvariantViolation("steiner decomposition needs a game")
@@ -603,9 +617,11 @@ def steiner_decomposition(g: Game) -> Optional[list[tuple[int, int, int]]]:
             chosen.pop()
         return False
 
-    if rec(full):
-        return sorted(tris[ti] for ti in chosen)
-    return None
+    if not rec(full):
+        return None
+    witness = sorted(tris[ti] for ti in chosen)
+    _check_cover(g.rows, witness)
+    return witness
 
 
 # count_eulerian_subgraphs raises TooLarge past this many tuple entries

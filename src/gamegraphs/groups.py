@@ -16,6 +16,7 @@ from itertools import product
 from math import gcd
 from typing import Iterable, Sequence
 
+from .construct import lex_product
 from .core import Game, Permutation, _bits, from_rows, relabel, restrict
 from .errors import (
     BadAction,
@@ -30,8 +31,9 @@ from .errors import (
     NotSubgroup,
     ParseError,
     TooLarge,
+    VertexOutOfRange,
 )
-from .morph import AutGroup, _orbit_roots, automorphisms
+from .morph import AutGroup, _is_automorphism, _orbit_roots, automorphisms
 
 
 # The limit bounds the m^2 Cayley table and the walks over it.  A group
@@ -521,8 +523,6 @@ def lex_factorization_check(G: FiniteGroup, H: Iterable[int], A: GameSubset) -> 
     The coset section takes the minimum-index representative; the witness is
     verified edge by edge before being returned.
     """
-    from .construct import lex_product
-
     hs = _check_subgroup(G, H)
     if not is_pair_game_subset(G, hs, A):
         raise NotPairSubset("A is not a game subset for (G, H)")
@@ -567,7 +567,9 @@ def orbit_subgame(g: Game, T: FiniteGroup, action: Sequence[Permutation], a: int
     if len(action) != T.m:
         raise BadAction("need one permutation per group element")
     for t1 in range(T.m):
-        if relabel(g, action[t1]) != g:
+        if len(action[t1]) != g.p:
+            raise VertexOutOfRange("permutation length != p")
+        if not _is_automorphism(g.rows, action[t1].image):
             raise BadAction(f"element {t1} does not act as an automorphism")
         for t2 in range(T.m):
             if action[T.mult(t1, t2)] != action[t1].compose(action[t2]):

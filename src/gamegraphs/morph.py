@@ -51,10 +51,12 @@ from .core import (
     Tournament,
     _bits,
     circulant,
+    classify_digraph,
     relabel,
     restrict,
     scores,
 )
+from .construct import lex_product
 from .errors import BadSize, InvariantViolation, NotSurjective, TooLarge, WrongGroup
 from .reversal import _reverse_cycle
 
@@ -407,8 +409,6 @@ def check_projection(theta: Sequence[int], big: Tournament, small: Digraph) -> P
                 continue
             if big.has_edge(a, b) != small.has_edge(theta[a], theta[b]):
                 morph = False
-    from .core import classify_digraph
-
     fibers = [[v for v in range(big.p) if theta[v] == i] for i in range(small.p)]
     fgames = all(classify_digraph(restrict(big, f)[0]).is_game for f in fibers)
     sizes = {len(f) for f in fibers}
@@ -438,8 +438,6 @@ def aut_product_law_check(gamma: Tournament, pi: Tournament) -> ProductLawReport
     verifying instead that every semidirect candidate map really is an
     automorphism of the product.
     """
-    from .construct import lex_product
-
     prod = lex_product(gamma, pi)
     ag = automorphisms(gamma)
     ap = automorphisms(pi)
@@ -455,6 +453,6 @@ def aut_product_law_check(gamma: Tournament, pi: Tournament) -> ProductLawReport
             for i in range(gamma.p):
                 for j in range(q):
                     image[i * q + j] = rho(i) * q + gam[i](j)
-            if relabel(prod, Permutation(image)) == prod:
+            if _is_automorphism(prod.rows, image):
                 count += 1
     return ProductLawReport(formula, None, count, count == formula)

@@ -67,6 +67,18 @@ class TestGen:
         assert err == "VertexOutOfRange: vertex count 3969 outside 0..64\n"
         assert elapsed < 0.5  # the size is checked before any row is built
 
+    @pytest.mark.parametrize("argv", [
+        ["atlas", "report", "10000"],
+        ["gen", "random", "--size", "20001", "--seed", "1", "--steps", "0"],
+    ])
+    def test_circulant_past_the_vertex_ceiling_fails_fast(self, capsys, argv):
+        start = time.perf_counter()
+        code, stdout, err = run(capsys, *argv)
+        elapsed = time.perf_counter() - start
+        assert (code, stdout) == (1, "")
+        assert err == "VertexOutOfRange: vertex count 20001 outside 0..64\n"
+        assert elapsed < 1.0  # the size is checked before any row is built
+
 
 class TestPlan:
     @pytest.mark.parametrize("line, error", [

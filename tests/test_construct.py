@@ -82,8 +82,8 @@ from conftest import (
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Each construction certificate must raise even when asserts are stripped.
-# The Steiner witnesses are broken directly (a missing edge, a reused edge,
-# an uncovered game), and a double of a non-tournament fails its own Game
+# The cover certificate of the Steiner witnesses is fed broken covers
+# directly (a missing edge, a reused edge, an uncovered game), and a double of a non-tournament fails its own Game
 # check; the other checks get a patched helper: reversing a cross cycle
 # changes nothing (so the restrictions stay those of the double), the path
 # search finds no path, reversing a free path changes nothing, the game
@@ -94,7 +94,7 @@ _BROKEN_CERTIFICATES = """
 from contextlib import nullcontext
 from unittest import mock
 
-from gamegraphs import construct
+from gamegraphs import construct, eulerian
 from gamegraphs.core import EdgeSet, circulant, make_digraph, reverse
 from gamegraphs.errors import InvariantViolation
 
@@ -105,11 +105,11 @@ straddle = make_digraph(3, [(0, 1), (0, 2), (1, 2)])
 _double = construct.double
 cases = [
     ("steiner_missing", nullcontext(),
-     lambda: construct._validate_steiner_witness(c3, [(0, 2, 1)])),
+     lambda: eulerian._check_cover(c3.rows, [(0, 2, 1)]), "missing"),
     ("steiner_reused", nullcontext(),
-     lambda: construct._validate_steiner_witness(c3, [(0, 1, 2), (1, 2, 0)])),
+     lambda: eulerian._check_cover(c3.rows, [(0, 1, 2), (1, 2, 0)]), "used twice"),
     ("steiner_cover", nullcontext(),
-     lambda: construct._validate_steiner_witness(c3, [])),
+     lambda: eulerian._check_cover(c3.rows, []), "uncovered"),
     ("restriction", mock.patch.object(construct, "_reverse_cycle", lambda rows, cycle: None),
      lambda: construct.realize_pointed(reverse(c3), c3), "does not restrict"),
     ("path", mock.patch.object(construct, "_bfs_path", lambda *args: None),
@@ -613,7 +613,7 @@ class TestSep:
 
     def test_saturate_fits_the_vertex_ceiling(self):
         # 5 + 2^5 = 37 vertices fit; 6 + 2^6 = 70 do not, and the check runs
-        # before the O(4^s) row loop (minutes at s = 16)
+        # before any row is built (2^16 rows at s = 16)
         t5 = standard_order(5)
         s, labels = saturate(t5)
         assert s.p == 37 and len(labels) == 32

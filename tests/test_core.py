@@ -67,6 +67,13 @@ class TestMakeDigraph:
         assert isinstance(g, Game)
         assert g == circulant(5, (1, 2))
 
+    def test_circulant_vertex_count(self):
+        empty = circulant(0, (1,))
+        assert (type(empty), empty.p, empty.rows) == (Tournament, 0, ())
+        for p in (-1, 65):
+            with pytest.raises(VertexOutOfRange, match=rf"^vertex count {p} outside 0..64$"):
+                circulant(p, (1,))
+
 
 class TestRestrict:
     def test_g5_straddle(self, g5):
