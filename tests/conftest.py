@@ -23,6 +23,10 @@ uniquely reducible extension found by testing every pair of every
 extension.  So do the lexicographic product, edge by edge, and the
 vertex-set forms of the SEP check, saturation, embedding extension, the
 reducibility graph and double recognition, each tested pair by pair.
+The tournament-structure oracles are pair by pair too: strong components
+from the all-pairs reach fixpoint, the cycle insertion of Moon's theorem,
+the transitive-order test and the morphism test of a projection.  The game
+enumerator keeps a running win count for every vertex.
 """
 
 import random
@@ -54,7 +58,7 @@ from gamegraphs.eulerian import (
 )
 from gamegraphs.morph import _canon_search, automorphisms, canon_hex, canonical_form
 from gamegraphs.reversal import delta_id
-from gamegraphs.errors import NotConnected, NotSubgraph, SepExhausted
+from gamegraphs.errors import BadLength, NotConnected, NotStrong, NotSubgraph, SepExhausted
 
 
 @pytest.fixture(scope="session")
@@ -1079,3 +1083,142 @@ def oracle_is_double(g: Game, base: int):
     if relabel(g, Permutation(image)) != oracle_double(source):
         return None
     return source
+
+
+def oracle_strong_components(g: Digraph) -> list:
+    """Strong classes from the all-pairs reach fixpoint, each class sorted by
+    the size of its members' joint reach (largest first), then least vertex."""
+    p = g.p
+    reach = [g.rows[i] | (1 << i) for i in range(p)]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(p):
+            acc = reach[i]
+            for j in _set_bits(reach[i]):
+                acc |= reach[j]
+            if acc != reach[i]:
+                reach[i] = acc
+                changed = True
+    comps, seen = [], set()
+    for v in range(p):
+        if v not in seen:
+            members = [w for w in range(p) if (reach[v] >> w) & 1 and (reach[w] >> v) & 1]
+            seen.update(members)
+            comps.append(members)
+
+    def key(c):
+        r = 0
+        for v in c:
+            r |= reach[v]
+        return (-bin(r).count("1"), min(c))
+
+    return sorted(comps, key=key)
+
+
+def oracle_cycle_through(g: Digraph, v: int, length: int) -> tuple:
+    """Moon's insertion argument with vertex lists, tested pair by pair: the
+    least 3-cycle through v, then the first outside vertex with an edge each
+    way to the cycle, inserted after the last of the cycle's leading vertices
+    that beat it; failing that, the first pair u -> w with u beaten by the
+    whole cycle and w beating all of it replaces the cycle's second vertex
+    (its third when that second vertex is v)."""
+    p = g.p
+    if not (0 <= v < p):
+        raise BadLength(f"vertex {v} out of range")
+    if p <= 1 or not (3 <= length <= p):
+        raise BadLength(f"no {length}-cycle in a tournament on {p} vertices")
+    if len(oracle_strong_components(g)) != 1:
+        raise NotStrong("tournament is not strong")
+    tris = [[v, a, b] for a in range(p) for b in range(p) if g.has_edge(v, a) and g.has_edge(a, b) and g.has_edge(b, v)]
+    if not tris:
+        raise NotStrong("no 3-cycle through vertex")
+    cyc = tris[0]
+    while len(cyc) < length:
+        r = len(cyc)
+        movable = [
+            j
+            for j in range(p)
+            if j not in cyc and any(g.has_edge(j, u) for u in cyc) and any(g.has_edge(u, j) for u in cyc)
+        ]
+        if movable:
+            j = movable[0]
+            k0 = min(k for k, u in enumerate(cyc) if g.has_edge(u, j))
+            rot = cyc[k0:] + cyc[:k0]
+            s = 0
+            while s < r and g.has_edge(rot[s], j):
+                s += 1
+            cyc = rot[:s] + [j] + rot[s:]
+            continue
+        A = [j for j in range(p) if j not in cyc and all(g.has_edge(u, j) for u in cyc)]
+        B = [j for j in range(p) if j not in cyc and all(g.has_edge(j, u) for u in cyc)]
+        pairs = [(u, w) for u in A for w in B if g.has_edge(u, w)]
+        if not pairs:
+            raise NotStrong("tournament is not strong")
+        u, w = pairs[0]
+        k0 = 0 if cyc[1] != v else 1
+        rot = cyc[k0:] + cyc[:k0]
+        cyc = [rot[0], u, w] + rot[2:]
+    return normalize_cycle(cyc)
+
+
+def oracle_is_order(g: Digraph):
+    """The order by descending out-degree, if the scores are 0..p-1 and
+    every earlier vertex beats every later one, else None."""
+    if tuple(sorted(g.out_degree(v) for v in range(g.p))) != tuple(range(g.p)):
+        return None
+    order = sorted(range(g.p), key=lambda v: -g.out_degree(v))
+    if all(g.has_edge(order[a], order[b]) for a in range(g.p) for b in range(a + 1, g.p)):
+        return order
+    return None
+
+
+def oracle_game_rows(p: int, fixed_row0=None) -> list:
+    """Every row tuple of a labeled game, by backtracking over the wins of
+    each vertex among the later ones, with a running win count per vertex;
+    candidates ascend by mask, so the list is lexicographic."""
+    n = (p - 1) // 2
+    rows, wins, out = [0] * p, [0] * p, []
+
+    def rec(i):
+        if i == p:
+            out.append(tuple(rows))
+            return
+        later = list(range(i + 1, p))
+        need = n - wins[i]
+        if need < 0 or need > len(later):
+            return
+        opts = []
+        for beat in combinations(later, need):
+            lose = [j for j in later if j not in beat]
+            if all(wins[j] < n for j in lose):
+                opts.append((sum(1 << j for j in beat), lose))
+        opts.sort()
+        for mask, lose in opts:
+            if i == 0 and fixed_row0 is not None and mask != fixed_row0:
+                continue
+            rows[i] |= mask
+            wins[i] += need
+            for j in lose:
+                rows[j] |= 1 << i
+                wins[j] += 1
+            rec(i + 1)
+            wins[i] -= need
+            rows[i] &= ~mask
+            for j in lose:
+                rows[j] &= ~(1 << i)
+                wins[j] -= 1
+
+    rec(0)
+    return out
+
+
+def oracle_is_morphism(theta, big: Digraph, small: Digraph) -> bool:
+    """theta preserves and reflects every edge between distinct fibers,
+    tested pair by pair."""
+    return all(
+        big.has_edge(a, b) == small.has_edge(theta[a], theta[b])
+        for a in range(big.p)
+        for b in range(big.p)
+        if a != b and theta[a] != theta[b]
+    )

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from gamegraphs.atlas import (
+    _game_rows,
     _meet,
     _neighbors,
     census,
@@ -32,6 +33,7 @@ from conftest import (
     all_labeled_tournaments,
     disjoint_walk,
     oracle_census,
+    oracle_game_rows,
     oracle_interchange_bfs,
     oracle_parity_bipartition,
 )
@@ -89,6 +91,19 @@ class TestEnumerate:
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             next(enumerate_games(11))
+
+    def test_row_stream_against_win_counts(self):
+        # the enumerator against backtracking with a running win count per
+        # vertex, even sizes (no games) and refused first rows included
+        for p in range(9):
+            assert list(_game_rows(p)) == oracle_game_rows(p)
+        for p in (3, 5):
+            for row0 in range(1 << p):
+                assert list(_game_rows(p, row0)) == oracle_game_rows(p, row0)
+        for row0 in (0b1110, 0b1110000, 0b1010100, 0b1101000, 0b0111000, 0b11):
+            assert list(_game_rows(7, row0)) == oracle_game_rows(7, row0)
+        pointed = list(_game_rows(9, 0b11110))
+        assert len(pointed) == 46_144 and pointed == oracle_game_rows(9, 0b11110)
 
 
 class TestCensus:

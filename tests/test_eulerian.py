@@ -22,6 +22,7 @@ from gamegraphs.core import (
 )
 from gamegraphs.errors import (
     BadLength,
+    DomainError,
     BudgetExceeded,
     InvariantViolation,
     NotConnected,
@@ -53,12 +54,16 @@ from conftest import (
     disjoint_walk,
     oracle_count_mitm,
     oracle_cycle_decomposition,
+    oracle_cycle_through,
     oracle_euler_trail,
     oracle_eulerian_count,
+    oracle_is_order,
     oracle_simple_path,
     oracle_span,
     oracle_span_lower_bound,
     oracle_span_search,
+    oracle_strong_components,
+    random_digraph,
     random_eulerian_edgeset,
     random_tournament,
     standard_order,
@@ -516,6 +521,23 @@ class TestCycleThrough:
                     for e in cycle_edges(cyc):
                         assert g.has_edge(*e)
 
+    @pytest.mark.parametrize(
+        "rows, v, length, want",
+        [
+            ((62, 120, 98, 84, 68, 88, 1), 5, 6, (0, 4, 2, 1, 5, 6)),
+            ((22, 44, 56, 33, 42, 1), 1, 4, (0, 4, 1, 3)),
+            ((248, 121, 123, 224, 200, 208, 128, 6), 3, 4, (1, 4, 3, 7)),
+        ],
+        ids=["v-second", "least-u", "least-w"],
+    )
+    def test_pair_step(self, rows, v, length, want):
+        # no outside vertex has edges both ways to the cycle, so a pair
+        # u -> w (u beaten by the whole cycle, w beating all of it) goes in:
+        # here v stands second and must stay on the cycle, or several u,
+        # or several w, fit and the least is taken
+        g = from_rows(len(rows), rows)
+        assert cycle_through(g, v, length) == oracle_cycle_through(g, v, length) == want
+
     def test_bad_length(self, g5):
         with pytest.raises(BadLength):
             cycle_through(g5, 0, 2)
@@ -542,6 +564,77 @@ class TestIsOrder:
             g = random_tournament(5, rng)
             assert (is_order(g) is not None) == (three_cycle_stats(g).total == 0)
 
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+def _structure_graphs(p: int, rng: random.Random) -> list:
+    """Seeded tournaments and digraphs on p vertices: random ones, relabelled
+    orders with and without one reversed pair, and sparse digraphs."""
+    graphs = [random_tournament(p, rng) for _ in range(12)]
+    graphs += [random_digraph(p, rng) for _ in range(8)]
+    for _ in range(4):
+        rows = list(relabel(standard_order(p), Permutation(rng.sample(range(p), p))).rows)
+        graphs.append(from_rows(p, rows))
+        if p >= 2:
+            a, b = rng.sample(range(p), 2)
+            if not rows[a] >> b & 1:
+                a, b = b, a
+            rows[a] ^= 1 << b
+            rows[b] ^= 1 << a
+            graphs.append(from_rows(p, rows))
+    for _ in range(4):
+        pairs = [(i, j) if rng.random() < 0.5 else (j, i) for i in range(p) for j in range(i + 1, p) if rng.random() < 0.2]
+        graphs.append(make_digraph(p, pairs))
+    return graphs
+
+
+class TestStructureAgainstOracles:
+    """strong_components, cycle_through and is_order against their
+    pair-by-pair forms, refusals included: every vertex (and one on each
+    side of the range) and every length from 2 to p + 2."""
+
+    @pytest.mark.parametrize("p", range(13))
+    def test_seeded_graphs(self, p):
+        rng = random.Random(900 + p)
+        kinds = set()
+        for g in _structure_graphs(p, rng):
+            assert strong_components(g) == oracle_strong_components(g)
+            assert is_order(g) == oracle_is_order(g)
+            for v in range(-1, p + 1):
+                for length in range(2, p + 3):
+                    got = _outcome(cycle_through, g, v, length)
+                    assert got == _outcome(oracle_cycle_through, g, v, length)
+                    kinds.add(got[0] if isinstance(got[0], type) else "cycle")
+        assert kinds == ({BadLength, NotStrong, "cycle"} if p >= 3 else {BadLength})
+
+    def test_strong_tournaments_every_vertex_and_length(self):
+        # random tournaments, and ones whose vertices fall in three blocks
+        # with most pairs between blocks pointing to the later block: there
+        # the cycle often has no vertex to insert and takes a pair instead
+        rng = random.Random(911)
+        for p in range(3, 13):
+            graphs = [random_tournament(p, rng) for _ in range(10)]
+            for _ in range(20):
+                block = sorted(rng.choices(range(3), k=p))
+                rows = list(random_tournament(p, rng).rows)
+                for i in range(p):
+                    for j in range(i + 1, p):
+                        if block[i] < block[j] and rng.random() < 0.9:
+                            rows[i] |= 1 << j
+                            rows[j] &= ~(1 << i)
+                graphs.append(from_rows(p, rows))
+            for g in graphs:
+                if len(oracle_strong_components(g)) != 1:
+                    continue
+                for v in range(p):
+                    for length in range(3, p + 1):
+                        assert cycle_through(g, v, length) == oracle_cycle_through(g, v, length)
 
 class TestThreeCycleStats:
     def test_size7_games(self, g7i, g7ii, g7iii):

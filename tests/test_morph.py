@@ -22,7 +22,7 @@ from gamegraphs.core import (
     reverse,
     scores,
 )
-from gamegraphs.construct import double, lex_product, reduce_via
+from gamegraphs.construct import double, generalized_lex, lex_product, reduce_via
 from gamegraphs.errors import BadSize, NotSurjective, WrongGroup
 from gamegraphs.groups import GameSubset, cyclic_group, group_game, quadratic_residue_subset
 from gamegraphs.morph import (
@@ -47,8 +47,10 @@ from conftest import (
     oracle_bits_under,
     oracle_canon_search,
     oracle_canon_tree,
+    oracle_is_morphism,
     oracle_iso,
     oracle_refine,
+    random_digraph,
     random_eulerian_edgeset,
     random_tournament,
     standard_order,
@@ -477,6 +479,37 @@ class TestCheckProjection:
     def test_not_surjective(self, g5, c3):
         with pytest.raises(NotSurjective):
             check_projection([0, 0, 0, 1, 1], g5, c3)
+
+    def test_morphism_against_pairwise_check(self):
+        # generalized lex products with their projections, the same with one
+        # pair between fibers reversed, and random surjections between
+        # random digraphs
+        rng = random.Random(457)
+        cases = []
+        for _ in range(60):
+            gamma = random_tournament(rng.randint(1, 5), rng)
+            fibers = [random_tournament(rng.randint(1, 3), rng) for _ in range(gamma.p)]
+            big, theta = generalized_lex(gamma, fibers)
+            cases.append((theta, big, gamma))
+            cross = [(a, b) for (a, b) in big.edges() if theta[a] != theta[b]]
+            if cross:
+                a, b = rng.choice(cross)
+                rows = list(big.rows)
+                rows[a] ^= 1 << b
+                rows[b] ^= 1 << a
+                cases.append((theta, from_rows(big.p, rows), gamma))
+        for _ in range(60):
+            small = random_digraph(rng.randint(1, 4), rng)
+            big = rng.choice([random_digraph, random_tournament])(rng.randint(small.p, 9), rng)
+            theta = list(range(small.p)) + [rng.randrange(small.p) for _ in range(big.p - small.p)]
+            rng.shuffle(theta)
+            cases.append((theta, big, small))
+        seen = set()
+        for theta, big, small in cases:
+            want = oracle_is_morphism(theta, big, small)
+            assert check_projection(theta, big, small).is_morphism == want
+            seen.add(want)
+        assert seen == {True, False}
 
     def test_two_of_three_law(self, c3, g5):
         prod = lex_product(g5, c3)
