@@ -18,7 +18,7 @@ from itertools import combinations
 from math import comb, factorial
 from typing import Iterator, Optional, Sequence
 
-from .core import Game, circulant
+from .core import Game, _bits, circulant
 from .errors import BudgetExceeded, InvariantViolation, SizeMismatch, VertexOutOfRange
 from .eulerian import _three_cycles, count_eulerian_subgraphs
 from .morph import automorphisms, canon_hex, canonical_form
@@ -39,43 +39,33 @@ def _check_size(p: int, limit: int) -> None:
 
 def _game_rows(p: int, fixed_row0: Optional[int] = None) -> Iterator[tuple[int, ...]]:
     """Backtracking over out-neighbor masks, ascending, so the stream is
-    lexicographic in the row-mask tuple."""
+    lexicographic in the row-mask tuple.  Vertex i beats the later vertices
+    of its win mask and loses to the rest, which must not have n wins yet."""
     n = (p - 1) // 2
     rows = [0] * p
-    wins = [0] * p
-
-    def candidates(i: int) -> list[int]:
-        later = list(range(i + 1, p))
-        need = n - wins[i]
-        if need < 0 or need > len(later):
-            return []
-        masks = []
-        for comb_ in combinations(later, need):
-            lose = [j for j in later if j not in set(comb_)]
-            if all(wins[j] + 1 <= n for j in lose):
-                masks.append((sum(1 << j for j in comb_), comb_, lose))
-        masks.sort(key=lambda t: t[0])
-        return masks
 
     def rec(i: int) -> Iterator[tuple[int, ...]]:
         if i == p:
             yield tuple(rows)
             return
-        opts = candidates(i)
+        later = range(i + 1, p)
+        need = n - bin(rows[i]).count("1")
+        wins = sorted(sum(1 << j for j in c) for c in combinations(later, need))
         if i == 0 and fixed_row0 is not None:
-            opts = [opt for opt in opts if opt[0] == fixed_row0]
-        for mask, comb_, lose in opts:
-            rows[i] |= mask
-            wins[i] += len(comb_)
-            for j in lose:
+            wins = [win for win in wins if win == fixed_row0]
+        rest = sum(1 << j for j in later)
+        done = sum(1 << j for j in later if bin(rows[j]).count("1") >= n)  # no win to spare
+        for win in wins:
+            lose = rest ^ win
+            if lose & done:
+                continue
+            rows[i] |= win
+            for j in _bits(lose):
                 rows[j] |= 1 << i
-                wins[j] += 1
             yield from rec(i + 1)
-            wins[i] -= len(comb_)
-            rows[i] &= ~mask
-            for j in lose:
-                rows[j] &= ~(1 << i)
-                wins[j] -= 1
+            rows[i] ^= win
+            for j in _bits(lose):
+                rows[j] ^= 1 << i
 
     yield from rec(0)
 

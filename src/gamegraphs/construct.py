@@ -609,6 +609,11 @@ def extend_embedding(
     Raises SepExhausted when gamma has no room for some extension step.
     """
     placed = dict(rho)
+    S0 = list(S0)
+    if not all(0 <= a < pi.p for a in S0 + list(placed)):
+        raise VertexOutOfRange(f"S0 and the domain of rho must lie in 0..{pi.p - 1}")
+    if not all(0 <= w < gamma.p for w in placed.values()):
+        raise VertexOutOfRange(f"the images of rho must lie in 0..{gamma.p - 1}")
     s0 = sorted(placed)
     if s0 != sorted(dict.fromkeys(S0)):
         raise SepExhausted("rho must be defined exactly on S0")

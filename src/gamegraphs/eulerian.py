@@ -398,118 +398,83 @@ def strong_components(g: Digraph) -> list[list[int]]:
 
     For a tournament the condensation is a total order ([i] -> [j] for listed
     i before j); for general digraphs the classes come in a topological order
-    of the condensation with ties by least vertex.
+    of the condensation with ties by least vertex.  Every member of a class
+    reaches the same vertices, and a class reaches more than any class it
+    reaches, so the classes sort by that reach, largest first.
     """
-    p = g.p
-    reach = [g.rows[i] | (1 << i) for i in range(p)]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(p):
-            acc = reach[i]
-            m = reach[i]
-            while m:
-                b = m & -m
-                acc |= reach[b.bit_length() - 1]
-                m ^= b
-            if acc != reach[i]:
-                reach[i] = acc
-                changed = True
-    comp_of = [-1] * p
-    comps: list[list[int]] = []
-    for v in range(p):
-        if comp_of[v] >= 0:
-            continue
-        members = [w for w in range(p) if (reach[v] >> w) & 1 and (reach[w] >> v) & 1]
-        for w in members:
-            comp_of[w] = len(comps)
-        comps.append(members)
-    # topological order of the condensation: class A before B iff B unreachable from... A reaches B
-    def key(c: list[int]) -> tuple[int, int]:
-        r = 0
-        for v in c:
-            r |= reach[v]
-        return (-bin(r).count("1"), min(c))
-
-    comps.sort(key=key)
+    rows = g.rows
+    reach = []
+    for v in range(g.p):
+        seen = frontier = 1 << v
+        while frontier:
+            step = 0
+            for u in _bits(frontier):
+                step |= rows[u]
+            frontier = step & ~seen
+            seen |= frontier
+        reach.append(seen)
+    classes = {sum(1 << w for w in _bits(reach[v]) if reach[w] >> v & 1) for v in range(g.p)}
+    comps = [list(_bits(c)) for c in classes]
+    comps.sort(key=lambda c: (-bin(reach[c[0]]).count("1"), c[0]))
     return comps
 
 
 def cycle_through(g: Tournament, v: int, length: int) -> tuple[int, ...]:
-    """A cycle of the requested length through v, grown by the insertion argument.
+    """A cycle of the requested length through v, grown by the insertion
+    argument of Moon's theorem (every vertex of a strong tournament lies on
+    a cycle of every length from 3 to p).
 
     Needs a strong tournament with p > 1 and 3 <= length <= p.
     """
-    p = g.p
+    p, rows, cols = g.p, g.rows, g._cols
     if not (0 <= v < p):
         raise BadLength(f"vertex {v} out of range")
     if p <= 1 or not (3 <= length <= p):
         raise BadLength(f"no {length}-cycle in a tournament on {p} vertices")
     if len(strong_components(g)) != 1:
         raise NotStrong("tournament is not strong")
-    # least 3-cycle through v
-    cyc: Optional[list[int]] = None
-    for j1 in g.out_set(v):
-        for j2 in g.in_set(v):
-            if g.has_edge(j1, j2):
-                cyc = [v, j1, j2]
-                break
-        if cyc:
-            break
-    if cyc is None:
+    # least 3-cycle through v: its least out-neighbor that beats an in-neighbor
+    j1 = next((j for j in _bits(rows[v]) if rows[j] & cols[v]), None)
+    if j1 is None:
         raise NotStrong("no 3-cycle through vertex")  # impossible in a strong tournament
+    cyc = [v, j1, next(_bits(rows[j1] & cols[v]))]
+    full = (1 << p) - 1
     while len(cyc) < length:
-        on = set(cyc)
-        r = len(cyc)
-        inserted = False
-        for j in range(p):
-            if j in on:
-                continue
-            outs = [k for k, u in enumerate(cyc) if g.has_edge(j, u)]
-            ins = [k for k, u in enumerate(cyc) if g.has_edge(u, j)]
-            if outs and ins:
-                # rotate so position 0 beats j, insert j after the last
-                # consecutive beats-j prefix
-                k0 = min(ins)
-                rot = cyc[k0:] + cyc[:k0]
-                s = 0
-                while s < r and g.has_edge(rot[s], j):
-                    s += 1
-                cyc = rot[:s] + [j] + rot[s:]
-                inserted = True
-                break
-        if inserted:
+        on = sum(1 << u for u in cyc)
+        j = next((j for j in _bits(full ^ on) if rows[j] & on and cols[j] & on), None)
+        if j is not None:
+            # rotate so position 0 beats j, insert j after the last
+            # consecutive beats-j prefix
+            k0 = next(k for k, u in enumerate(cyc) if cols[j] >> u & 1)
+            rot = cyc[k0:] + cyc[:k0]
+            s = next(s for s, u in enumerate(rot) if not cols[j] >> u & 1)
+            cyc = rot[:s] + [j] + rot[s:]
             continue
-        # every outside vertex beats the whole cycle or loses to all of it
-        A = [j for j in range(p) if j not in on and all(g.has_edge(u, j) for u in cyc)]
-        B = [j for j in range(p) if j not in on and all(g.has_edge(j, u) for u in cyc)]
-        pair = None
-        for u in A:
-            for w in B:
-                if g.has_edge(u, w):
-                    pair = (u, w)
-                    break
-            if pair:
-                break
-        if pair is None:
+        # every outside vertex beats the whole cycle or loses to all of it;
+        # a vertex is in no row or column of its own, so A and B lie outside
+        A = B = -1
+        for u in cyc:
+            A &= rows[u]
+            B &= cols[u]
+        u = next((u for u in _bits(A) if rows[u] & B), None)
+        if u is None:
             raise NotStrong("tournament is not strong")  # defensive; cannot happen
-        u, w = pair
         k0 = 0 if cyc[1] != v else 1
         rot = cyc[k0:] + cyc[:k0]
-        cyc = [rot[0], u, w] + rot[2:]
+        cyc = [rot[0], u, next(_bits(rows[u] & B))] + rot[2:]
     return normalize_cycle(cyc)
 
 
 def is_order(g: Tournament) -> Optional[list[int]]:
     """Ordering witness [first, ..., last] (earlier beats later) iff g is transitive."""
-    sc = scores(g)
-    if sc != tuple(range(g.p)):
+    if scores(g) != tuple(range(g.p)):
         return None
     order = sorted(range(g.p), key=lambda v: -g.out_degree(v))
-    for a in range(g.p):
-        for b in range(a + 1, g.p):
-            if not g.has_edge(order[a], order[b]):
-                return None
+    later = 0
+    for v in reversed(order):
+        if g.rows[v] != later:
+            return None
+        later |= 1 << v
     return order
 
 

@@ -57,7 +57,7 @@ from .core import (
     scores,
 )
 from .construct import lex_product
-from .errors import BadSize, InvariantViolation, NotSurjective, TooLarge, WrongGroup
+from .errors import BadSize, InvariantViolation, NotSurjective, SizeMismatch, TooLarge, WrongGroup
 from .reversal import _reverse_cycle
 
 
@@ -400,16 +400,17 @@ def check_projection(theta: Sequence[int], big: Tournament, small: Digraph) -> P
     Among {big is a game, small is a game, all fibers are equal-size games}
     any two imply the third; the caller asserts that law where it applies.
     """
+    if len(theta) != big.p:
+        raise SizeMismatch(f"vertex map has {len(theta)} entries for {big.p} vertices")
     if set(theta) != set(range(small.p)):
         raise NotSurjective("vertex map does not cover the base")
-    morph = True
-    for a in range(big.p):
-        for b in range(big.p):
-            if a == b or theta[a] == theta[b]:
-                continue
-            if big.has_edge(a, b) != small.has_edge(theta[a], theta[b]):
-                morph = False
-    fibers = [[v for v in range(big.p) if theta[v] == i] for i in range(small.p)]
+    fiber = [0] * small.p
+    for a, i in enumerate(theta):
+        fiber[i] |= 1 << a
+    # a morphism: the edges leaving a's fiber go to exactly the fibers of theta[a]'s out-neighbors
+    image = [sum(fiber[k] for k in _bits(r)) for r in small.rows]
+    morph = all(big.rows[a] & ~fiber[i] == image[i] for a, i in enumerate(theta))
+    fibers = [list(_bits(f)) for f in fiber]
     fgames = all(classify_digraph(restrict(big, f)[0]).is_game for f in fibers)
     sizes = {len(f) for f in fibers}
     return ProjectionReport(

@@ -652,6 +652,15 @@ class TestExtendEmbedding:
                 out = extend_embedding(t, [0], {0: anchor}, s2)
                 check_embedding_dict(t, s2, out)
 
+    @pytest.mark.parametrize(
+        "S0, rho",
+        [([-1], {-1: 0}), ([0], {0: -1}), ([5], {5: 0}), ([0], {0: 9})],
+        ids=["negative-key", "negative-image", "key-past-pi", "image-past-gamma"],
+    )
+    def test_vertices_out_of_range(self, c3, S0, rho):
+        with pytest.raises(VertexOutOfRange):
+            extend_embedding(c3, S0, rho, circulant(7, (1, 2, 4)))
+
 
 def check_embedding_dict(t, g, emb):
     assert sorted(emb) == list(range(t.p))

@@ -23,7 +23,7 @@ from gamegraphs.core import (
     scores,
 )
 from gamegraphs.construct import double, generalized_lex, lex_product, reduce_via
-from gamegraphs.errors import BadSize, NotSurjective, WrongGroup
+from gamegraphs.errors import BadSize, NotSurjective, SizeMismatch, WrongGroup
 from gamegraphs.groups import GameSubset, cyclic_group, group_game, quadratic_residue_subset
 from gamegraphs.morph import (
     _bits_under,
@@ -479,6 +479,16 @@ class TestCheckProjection:
     def test_not_surjective(self, g5, c3):
         with pytest.raises(NotSurjective):
             check_projection([0, 0, 0, 1, 1], g5, c3)
+
+    def test_map_shorter_than_the_graph(self, c3):
+        prod = lex_product(c3, c3)
+        with pytest.raises(SizeMismatch, match="vertex map has 8 entries for 9 vertices"):
+            check_projection([k // 3 for k in range(8)], prod, c3)
+
+    def test_map_longer_than_the_graph(self, c3):
+        prod = lex_product(c3, c3)
+        with pytest.raises(SizeMismatch, match="vertex map has 10 entries for 9 vertices"):
+            check_projection([k // 3 for k in range(9)] + [0], prod, c3)
 
     def test_morphism_against_pairwise_check(self):
         # generalized lex products with their projections, the same with one

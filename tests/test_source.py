@@ -1,6 +1,9 @@
-"""Every library certificate must also fire under `python -O`, which strips
+"""Structural checks over the package's syntax trees.
+
+Every library certificate must also fire under `python -O`, which strips
 assert statements, so no module of the package may hold one, nor raise or
-name AssertionError."""
+name AssertionError.  Every input must end in a result or a DomainError, so
+every raise statement builds one of the classes that errors.py defines."""
 
 import ast
 from pathlib import Path
@@ -8,9 +11,11 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "gamegraphs"
+MODULES = sorted(PACKAGE.glob("*.py"))
+ERRORS = {node.name for node in ast.parse((PACKAGE / "errors.py").read_text()).body if isinstance(node, ast.ClassDef)}
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_assert(path):
     tree = ast.parse(path.read_text(), str(path))
     found = [
@@ -19,3 +24,15 @@ def test_no_assert(path):
         if isinstance(node, ast.Assert) or (isinstance(node, ast.Name) and node.id == "AssertionError")
     ]
     assert found == [], f"{path.name}: assert or AssertionError on lines {found}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_raises_domain_errors(path):
+    tree = ast.parse(path.read_text(), str(path))
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise)
+        and not (isinstance(node.exc, ast.Call) and isinstance(node.exc.func, ast.Name) and node.exc.func.id in ERRORS)
+    ]
+    assert found == [], f"{path.name}: a raise on lines {found} builds no class of errors.py"
