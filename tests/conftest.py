@@ -16,7 +16,9 @@ value (all p^2 pairs), the simple-path DFS without its dead-end memory, the
 one-sided interchange BFS with its own 3-cycle listing, the per-step descent
 planner that re-solves the span after every move, and the span branch and
 bound that files each cycle under every one of its edges and tests each
-child after the call.  The constructions keep their edge-by-edge forms:
+child after the call.  The cycle listing it branches over and the Steiner
+exact cover keep their edge-list forms, each numbering the edges through
+its own (i, j) -> index dict.  The constructions keep their edge-by-edge forms:
 the double and its parts from edge lists, pointed realization and Eulerian
 completion that rebuild the graph after every reversed path, and the
 uniquely reducible extension found by testing every pair of every
@@ -50,7 +52,6 @@ from gamegraphs.core import (
 )
 from gamegraphs.eulerian import (
     DecompReport,
-    _all_cycles,
     normalize_cycle,
     span,
     span_lower_bound,
@@ -58,7 +59,7 @@ from gamegraphs.eulerian import (
 )
 from gamegraphs.morph import _canon_search, automorphisms, canon_hex, canonical_form
 from gamegraphs.reversal import delta_id
-from gamegraphs.errors import BadLength, NotConnected, NotStrong, NotSubgraph, SepExhausted
+from gamegraphs.errors import BadLength, BudgetExceeded, NotConnected, NotStrong, NotSubgraph, SepExhausted
 
 
 @pytest.fixture(scope="session")
@@ -249,6 +250,82 @@ def oracle_span(d: EdgeSet) -> int:
     return best(frozenset(edges))
 
 
+def oracle_all_cycles(p: int, edges: list, max_cycles: int, max_len: int) -> list:
+    """Every vertex-simple cycle of length <= max_len as (length, vertex
+    tuple, edge mask), sorted, from successor lists over the edge list, each
+    edge's mask bit its index in that list.  Cycles are rooted at their least
+    vertex; past max_cycles cycles the next DFS entry raises BudgetExceeded."""
+    eidx = {e: k for k, e in enumerate(edges)}
+    succ = defaultdict(list)
+    for (i, j) in edges:
+        succ[i].append(j)
+    for v in succ:
+        succ[v].sort()
+    cycles = []
+
+    def dfs(start, v, visited, path, mask):
+        if len(cycles) > max_cycles:
+            raise BudgetExceeded(f"more than {max_cycles} cycles")
+        for w in succ[v]:
+            if w == start and len(path) >= 3:
+                cycles.append((len(path), tuple(path), mask | (1 << eidx[(v, start)])))
+            elif w > start and len(path) < max_len and not (visited >> w) & 1:
+                path.append(w)
+                dfs(start, w, visited | (1 << w), path, mask | (1 << eidx[(v, w)]))
+                path.pop()
+
+    for s in sorted(succ):
+        dfs(s, s, 1 << s, [s], 0)
+    cycles.sort(key=lambda t: (t[0], t[1]))
+    return cycles
+
+
+def oracle_steiner_decomposition(g: Game, work_budget: int = 2_000_000):
+    """The fewest-options exact cover of a game by 3-cycles over its edge
+    list: each 3-cycle's mask from an (i, j) -> index dict, each node
+    branching on the uncovered edge with the fewest fitting 3-cycles.  The
+    sorted witness, or None; BudgetExceeded past work_budget edges scanned."""
+    edges = g.edges()
+    if len(edges) % 3:
+        return None
+    eidx = {e: k for k, e in enumerate(edges)}
+    tris = three_cycles(g)
+    tri_masks = []
+    by_edge = [[] for _ in edges]
+    for ti, (a, b, c) in enumerate(tris):
+        ks = (eidx[(a, b)], eidx[(b, c)], eidx[(c, a)])
+        tri_masks.append(sum(1 << k for k in ks))
+        for k in ks:
+            by_edge[k].append(ti)
+    chosen = []
+    work = 0
+
+    def rec(mask):
+        nonlocal work
+        if mask == 0:
+            return True
+        best_opts = None
+        for e in _set_bits(mask):
+            work += 1
+            if work > work_budget:
+                raise BudgetExceeded(f"steiner search scanned more than {work_budget} edges")
+            opts = [ti for ti in by_edge[e] if tri_masks[ti] & mask == tri_masks[ti]]
+            if best_opts is None or len(opts) < len(best_opts):
+                best_opts = opts
+                if not opts:
+                    return False
+        for ti in best_opts:
+            chosen.append(ti)
+            if rec(mask ^ tri_masks[ti]):
+                return True
+            chosen.pop()
+        return False
+
+    if not rec((1 << len(edges)) - 1):
+        return None
+    return sorted(tris[ti] for ti in chosen)
+
+
 def oracle_span_search(d) -> DecompReport:
     """The span branch and bound in its plain form: each cycle is filed
     under every edge it contains, the popcount is recomputed per node, and
@@ -260,7 +337,7 @@ def oracle_span_search(d) -> DecompReport:
     if ne == 0:
         return lower
     p, edges = d.p, d.edges()
-    cycles = _all_cycles(p, edges, 2_000_000, max(3, ne - 3 * best))
+    cycles = oracle_all_cycles(p, edges, 2_000_000, max(3, ne - 3 * best))
     through = [[] for _ in range(ne)]
     for ci, (length, _, mask) in enumerate(cycles):
         m = mask

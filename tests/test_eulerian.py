@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from gamegraphs import eulerian
 from gamegraphs.core import (
     EdgeSet,
     Permutation,
@@ -62,6 +63,7 @@ from conftest import (
     oracle_span,
     oracle_span_lower_bound,
     oracle_span_search,
+    oracle_steiner_decomposition,
     oracle_strong_components,
     random_digraph,
     random_eulerian_edgeset,
@@ -713,6 +715,22 @@ class TestSteiner:
     def test_steiner_forces_span(self, g7ii):
         rep = span(g7ii)
         assert rep.span == 7 and rep.balance == 7  # n(2n+1)/3 with n = 3
+
+    @pytest.mark.parametrize("p", range(3, 23, 2))
+    def test_walk_games_against_the_edge_list_search(self, p, monkeypatch):
+        # eight games along one walk of 3-cycle flips from the cyclic game;
+        # under a smaller scan budget both searches must also give up on
+        # the same games
+        budget = 100_000
+        monkeypatch.setattr(eulerian, "_STEINER_WORK", budget)
+        rng = random.Random(700 + p)
+        g = circulant(p, range(1, (p + 1) // 2))
+        for _ in range(8):
+            for _ in range(rng.randrange(1, 2 * p)):
+                tris = three_cycles(g)
+                g = apply_plan(g, ReversalPlan((tris[rng.randrange(len(tris))],)))
+            want = _outcome(oracle_steiner_decomposition, g, budget)
+            assert _outcome(steiner_decomposition, g) == want
 
 
 class TestBalanceConjecture:
