@@ -40,7 +40,7 @@ from .errors import (
     VertexOutOfRange,
 )
 from .eulerian import _check_cover, steiner_decomposition
-from .reversal import _reverse_cycle, _reverse_path, reverse_subgraph
+from .reversal import _reverse_cycle, _reverse_path, delta_id, reverse_subgraph
 
 
 # -- doubles --------------------------------------------------------------------
@@ -78,8 +78,8 @@ def double(t: Tournament) -> tuple[Game, DoubleLayout]:
     lay = DoubleLayout(t)
     lo, hi = lay.minus(0), lay.plus(0)
     rows = [((1 << n) - 1) << lo]
-    rows += [(1 << (hi + i)) | (t.rows[i] << lo) | (t.in_mask(i) << hi) for i in range(n)]
-    rows += [1 | (t.rows[i] << hi) | (t.in_mask(i) << lo) for i in range(n)]
+    rows += [(1 << (hi + i)) | (t.rows[i] << lo) | (t._cols[i] << hi) for i in range(n)]
+    rows += [1 | (t.rows[i] << hi) | (t._cols[i] << lo) for i in range(n)]
     return Game(2 * n + 1, rows), lay
 
 
@@ -87,7 +87,7 @@ def double_cross_edges(lay: DoubleLayout) -> Digraph:
     """X(2t): the bipartite edges between the two copies, j+ -> i- and j- -> i+ for i -> j."""
     n, t = lay.n, lay.source
     lo, hi = lay.minus(0), lay.plus(0)
-    rows = [0] + [t.in_mask(j) << hi for j in range(n)] + [t.in_mask(j) << lo for j in range(n)]
+    rows = [0] + [t._cols[j] << hi for j in range(n)] + [t._cols[j] << lo for j in range(n)]
     return Digraph(2 * n + 1, rows)
 
 
@@ -199,7 +199,7 @@ def reducibility_graph(g: Game) -> ReducibilityReport:
     """Each vertex's single reducible partner is the one bit of its row."""
     rows = [sum(1 << j for j in _bits(r) if is_reducible_via(g, i, j)) for i, r in enumerate(g.rows)]
     edges = Digraph(g.p, rows)
-    if any(m & (m - 1) for m in rows + [edges.in_mask(v) for v in range(g.p)]):
+    if any(m & (m - 1) for m in rows + [edges._cols[v] for v in range(g.p)]):
         raise InvariantViolation("a vertex has two reducible out-edges or two reducible in-edges")
     ne = edges.edge_count()
     if not ne:
@@ -212,7 +212,7 @@ def reducibility_graph(g: Game) -> ReducibilityReport:
         return ReducibilityReport(edges, "hamiltonian_cycle", (tuple(cyc),))
     comps = []
     for h in range(g.p):
-        if rows[h] and not edges.in_mask(h):
+        if rows[h] and not edges._cols[h]:
             path = [h]
             while nxt[path[-1]] >= 0:
                 path.append(nxt[path[-1]])
@@ -244,7 +244,7 @@ class PointedGame:
 def _other_side(g: Game, base: int) -> list[int]:
     """Per vertex, the mask of the other side of the base: inputs for an
     output of the base, outputs for an input, nothing for the base."""
-    plus, minus = g.in_mask(base), g.out_mask(base)
+    plus, minus = g._cols[base], g.rows[base]
     return [minus if (plus >> a) & 1 else plus if (minus >> a) & 1 else 0 for a in range(g.p)]
 
 
@@ -299,8 +299,7 @@ def realize_pointed(gp: Tournament, gm: Tournament) -> tuple[Game, DoubleLayout]
     g, lay = double(gm)
     rows = list(g.rows)
     cross = _other_side(g, lay.base)
-    diffs = sorted((i, j) for (i, j) in gm.edges() if gp.has_edge(j, i))
-    for (i, j) in diffs:
+    for (i, j) in delta_id(gm, gp).edges():
         ip, jp = lay.plus(i), lay.plus(j)
         if not (rows[ip] >> jp) & 1:
             raise InvariantViolation(f"difference edge {ip}->{jp} is missing before its reversal")
@@ -486,7 +485,7 @@ def uniquely_reducible_extension(pi: Game, K: Optional[Iterable[int]] = None) ->
     n = (p + 1) // 2
     rep = reducibility_graph(pi)
     paths = [sum(1 << v for v in c) for c in rep.components]
-    taboo = {*pi.rows, *(pi.in_mask(i) for i in range(p))}
+    taboo = {*pi.rows, *(pi._cols[i] for i in range(p))}
 
     def good(ks: tuple[int, ...]) -> bool:
         kmask = sum(1 << k for k in ks)
@@ -524,7 +523,7 @@ def is_double(g: Game, base: int) -> Optional[DoubleLayout]:
     """
     partner = reducibility_graph(g).edges.rows
     i_minus = g.out_set(base)
-    if any(not partner[i] & g.in_mask(base) for i in i_minus):
+    if any(not partner[i] & g._cols[base] for i in i_minus):
         return None
     source, sidx = restrict(g, i_minus)
     rebuilt, lay = double(source)
@@ -562,7 +561,7 @@ def has_sep(g: Tournament, T0: Iterable[int]) -> SepReport:
         raise TooLarge("2^|T0| subsets is past the budget")
     least: dict[int, int] = {}
     for v in _bits(((1 << g.p) - 1) & ~anchors):
-        if (g.rows[v] | g.in_mask(v)) & anchors == anchors:
+        if (g.rows[v] | g._cols[v]) & anchors == anchors:
             least.setdefault(g.rows[v] & anchors, v)
     witness: dict[frozenset[int], int] = {}
     for mask in range(1 << len(t0)):
@@ -630,9 +629,9 @@ def extend_embedding(
             return True
         v = todo[k]
         out = sum(1 << placed[u] for u in _bits(pi.rows[v] & done))
-        inn = sum(1 << placed[u] for u in _bits(pi.in_mask(v) & done))
+        inn = sum(1 << placed[u] for u in _bits(pi._cols[v] & done))
         for w in _bits(free & ~used):
-            if gamma.rows[w] & used == out and gamma.in_mask(w) & used == inn:
+            if gamma.rows[w] & used == out and gamma._cols[w] & used == inn:
                 placed[v] = w
                 if rec(k + 1, done | 1 << v, used | 1 << w):
                     return True

@@ -76,12 +76,6 @@ class Digraph:
     def has_edge(self, i: int, j: int) -> bool:
         return bool((self.rows[i] >> j) & 1)
 
-    def out_mask(self, i: int) -> int:
-        return self.rows[i]
-
-    def in_mask(self, i: int) -> int:
-        return self._cols[i]
-
     def out_set(self, i: int) -> tuple[int, ...]:
         return tuple(_bits(self.rows[i]))
 

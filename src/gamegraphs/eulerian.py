@@ -3,12 +3,12 @@
 Central quantities: the span (maximum number of edge-disjoint cycles whose
 union is the graph) and the balance invariant beta = edges - 2*span, which
 is also the minimum 3-cycle reversal distance between tournaments.  Every
-function takes a Digraph and reads its row masks or its sorted edge list.
+function takes a Digraph and reads its row masks.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, groupby
 from math import comb
@@ -136,35 +136,38 @@ class DecompReport:
     witness: tuple[tuple[int, ...], ...]
 
 
-def _all_cycles(
-    p: int, edges: list[tuple[int, int]], max_cycles: int, max_len: int
-) -> list[tuple[int, tuple[int, ...], int]]:
-    """Every vertex-simple cycle of length <= max_len as (length, vertex tuple,
-    edge mask), sorted.
+def _edge_bits(rows: Sequence[int]) -> list[list[int]]:
+    """The one edge numbering of the mask searches: bit[u][w] is the mask bit
+    of edge u -> w, the edges numbered in lexicographic order as in a
+    Digraph's edge list, and 0 off the edges."""
+    bit, k = [[0] * len(rows) for _ in rows], 0
+    for u, r in enumerate(rows):
+        for w in _bits(r):
+            bit[u][w], k = 1 << k, k + 1
+    return bit
 
-    Cycles are rooted at their least vertex, so each appears exactly once.
+
+def _all_cycles(rows: Sequence[int], max_cycles: int, max_len: int) -> list[tuple[int, tuple[int, ...], int]]:
+    """Every vertex-simple cycle of length <= max_len as (length, vertex tuple,
+    edge mask), sorted; BudgetExceeded once there are more than max_cycles.
+
+    Each cycle is rooted at its least vertex and listed once: a walk only
+    enters the free vertices, those above its root and off its path.
     """
-    eidx = {e: k for k, e in enumerate(edges)}
-    succ: dict[int, list[int]] = defaultdict(list)
-    for (i, j) in edges:
-        succ[i].append(j)
-    for v in succ:
-        succ[v].sort()
+    bit = _edge_bits(rows)
     cycles: list[tuple[int, tuple[int, ...], int]] = []
 
-    def dfs(start: int, v: int, visited: int, path: list[int], mask: int) -> None:
-        if len(cycles) > max_cycles:
-            raise BudgetExceeded(f"more than {max_cycles} cycles")
-        for w in succ[v]:
-            if w == start and len(path) >= 3:
-                cycles.append((len(path), tuple(path), mask | (1 << eidx[(v, start)])))
-            elif w > start and len(path) < max_len and not (visited >> w) & 1:
-                path.append(w)
-                dfs(start, w, visited | (1 << w), path, mask | (1 << eidx[(v, w)]))
-                path.pop()
+    def dfs(start: int, v: int, free: int, path: tuple[int, ...], mask: int) -> None:
+        if (rows[v] >> start) & 1 and len(path) >= 3:
+            cycles.append((len(path), path, mask | bit[v][start]))
+            if len(cycles) > max_cycles:
+                raise BudgetExceeded(f"more than {max_cycles} cycles")
+        if len(path) < max_len:
+            for w in _bits(rows[v] & free):
+                dfs(start, w, free ^ (1 << w), (*path, w), mask | bit[v][w])
 
-    for s in sorted(succ):
-        dfs(s, s, 1 << s, [s], 0)
+    for s in range(len(rows)):
+        dfs(s, s, -(2 << s), (s,), 0)
     cycles.sort(key=lambda t: (t[0], t[1]))
     return cycles
 
@@ -261,17 +264,20 @@ def span(d: Digraph, node_budget: int = 50_000_000, cycle_budget: int = 2_000_00
         raise BudgetExceeded(f"span search exceeded {node_budget} nodes")
     if ne // 3 <= best:
         return _checked_report(d, best, lower.witness)
-    edges = d.edges()
     order, tau = _feedback_order(d)
     if sorted(order) != [v for v in range(d.p) if d.rows[v]]:
         raise InvariantViolation("feedback order is not a permutation of the vertices with edges")
-    pos = {v: k for k, v in enumerate(order)}
-    back = sum(1 << k for k, (u, v) in enumerate(edges) if pos[u] > pos[v])
+    bit = _edge_bits(d.rows)
+    back = placed = 0
+    for u in order:
+        for v in _bits(d.rows[u] & placed):
+            back |= bit[u][v]
+        placed |= 1 << u
     if back.bit_count() != tau:
         raise InvariantViolation(f"feedback order has {back.bit_count()} backward edges, not tau = {tau}")
     if tau <= best:
         return _checked_report(d, best, lower.witness)
-    cycles = _all_cycles(d.p, edges, cycle_budget, max(3, ne - 3 * best))
+    cycles = _all_cycles(d.rows, cycle_budget, max(3, ne - 3 * best))
     through: list[list[tuple[int, int, int]]] = [[] for _ in range(ne)]
     for ci, (length, _, mask) in enumerate(cycles):
         through[(mask & -mask).bit_length() - 1].append((length, mask, ci))
@@ -424,13 +430,17 @@ def cycle_through(g: Tournament, v: int, length: int) -> tuple[int, ...]:
     argument of Moon's theorem (every vertex of a strong tournament lies on
     a cycle of every length from 3 to p).
 
-    Needs a strong tournament with p > 1 and 3 <= length <= p.
+    Needs a strong tournament with p > 1 and 3 <= length <= p; a digraph
+    that is no tournament raises InvariantViolation.
     """
     p, rows, cols = g.p, g.rows, g._cols
     if not (0 <= v < p):
         raise BadLength(f"vertex {v} out of range")
     if p <= 1 or not (3 <= length <= p):
         raise BadLength(f"no {length}-cycle in a tournament on {p} vertices")
+    full = (1 << p) - 1
+    if any(rows[u] | cols[u] != full ^ (1 << u) for u in range(p)):
+        raise InvariantViolation("cycle_through needs a tournament")
     if len(strong_components(g)) != 1:
         raise NotStrong("tournament is not strong")
     # least 3-cycle through v: its least out-neighbor that beats an in-neighbor
@@ -438,7 +448,6 @@ def cycle_through(g: Tournament, v: int, length: int) -> tuple[int, ...]:
     if j1 is None:
         raise NotStrong("no 3-cycle through vertex")  # impossible in a strong tournament
     cyc = [v, j1, next(_bits(rows[j1] & cols[v]))]
-    full = (1 << p) - 1
     while len(cyc) < length:
         on = sum(1 << u for u in cyc)
         j = next((j for j in _bits(full ^ on) if rows[j] & on and cols[j] & on), None)
@@ -544,19 +553,16 @@ def steiner_decomposition(g: Game) -> Optional[list[tuple[int, int, int]]]:
     """
     if not isinstance(g, Game):
         raise InvariantViolation("steiner decomposition needs a game")
-    edges = g.edges()
-    if len(edges) % 3:
+    ne = g.edge_count()
+    if ne % 3:
         return None
-    eidx = {e: k for k, e in enumerate(edges)}
+    bit = _edge_bits(g.rows)
     tris = three_cycles(g)
-    tri_masks = []
-    by_edge: list[list[int]] = [[] for _ in edges]
-    for ti, (a, b, c) in enumerate(tris):
-        ks = (eidx[(a, b)], eidx[(b, c)], eidx[(c, a)])
-        tri_masks.append(sum(1 << k for k in ks))
-        for k in ks:
+    tri_masks = [bit[a][b] | bit[b][c] | bit[c][a] for a, b, c in tris]
+    by_edge: list[list[int]] = [[] for _ in range(ne)]
+    for ti, m in enumerate(tri_masks):
+        for k in _bits(m):
             by_edge[k].append(ti)
-    full = (1 << len(edges)) - 1
     chosen: list[int] = []
     work = 0
 
@@ -582,7 +588,7 @@ def steiner_decomposition(g: Game) -> Optional[list[tuple[int, int, int]]]:
             chosen.pop()
         return False
 
-    if not rec(full):
+    if not rec((1 << ne) - 1):
         return None
     witness = sorted(tris[ti] for ti in chosen)
     _check_cover(g.rows, witness)

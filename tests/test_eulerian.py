@@ -12,8 +12,10 @@ import pytest
 
 from gamegraphs import eulerian
 from gamegraphs.core import (
+    Digraph,
     EdgeSet,
     Permutation,
+    Tournament,
     circulant,
     from_rows,
     make_digraph,
@@ -32,6 +34,7 @@ from gamegraphs.errors import (
     TooLarge,
 )
 from gamegraphs.eulerian import (
+    _all_cycles,
     _feedback_order,
     _simple_path,
     count_eulerian_subgraphs,
@@ -59,6 +62,7 @@ from conftest import (
     oracle_euler_trail,
     oracle_eulerian_count,
     oracle_is_order,
+    oracle_all_cycles,
     oracle_simple_path,
     oracle_span,
     oracle_span_lower_bound,
@@ -282,6 +286,44 @@ class TestRowPeelAgainstEdgeSetOracles:
             assert lower.witness == oracle_span_lower_bound(g)
             assert lower.span <= span_
             assert euler_trail(g) == oracle_euler_trail(g)
+
+
+def _cycle_listing_cases():
+    """(digraph, max_len) pairs: seeded Eulerian digraphs on p = 3-13 with
+    every length bound 3..p, and games p flips along a walk from the cyclic
+    game with bounds 3..min(p, 8) (a size-13 game has 1.2 M cycles)."""
+    rng = random.Random(61)
+    cases = []
+    for p in range(3, 14):
+        for _ in range(3):
+            d = random_eulerian_edgeset(p, rng)
+            cases += [(d, length) for length in range(3, p + 1)]
+        if p % 2:
+            g = circulant(p, range(1, (p + 1) // 2))
+            for _ in range(p):
+                tris = three_cycles(g)
+                g = apply_plan(g, ReversalPlan((tris[rng.randrange(len(tris))],)))
+            cases += [(g, length) for length in range(3, min(p, 8) + 1)]
+    return cases
+
+
+class TestAllCycles:
+    def test_against_the_edge_list_listing(self):
+        for d, length in _cycle_listing_cases():
+            assert _all_cycles(d.rows, 2_000_000, length) == oracle_all_cycles(d.p, d.edges(), 2_000_000, length)
+
+    def test_budget_is_exact(self):
+        # the listing gives up right after the cycle that passes the cap
+        checked = 0
+        for d, length in _cycle_listing_cases():
+            cycles = _all_cycles(d.rows, 2_000_000, length)
+            if not cycles:
+                continue
+            assert _all_cycles(d.rows, len(cycles), length) == cycles
+            with pytest.raises(BudgetExceeded):
+                _all_cycles(d.rows, len(cycles) - 1, length)
+            checked += 1
+        assert checked > 100
 
 
 class TestSpan:
@@ -546,6 +588,18 @@ class TestCycleThrough:
         with pytest.raises(BadLength):
             cycle_through(g5, 0, 6)
 
+    def test_refuses_a_digraph_that_is_no_tournament(self):
+        # strong, but the insertion step would put 5 after 4 with no edge
+        # 4 -> 5 and return (3, 4, 5, 8, 6), which is no cycle of g
+        g = from_rows(9, (134, 128, 16, 305, 258, 327, 24, 68, 66))
+        with pytest.raises(InvariantViolation):
+            cycle_through(g, 3, 5)
+
+    def test_reads_a_tournament_from_its_rows(self, g5):
+        # a tournament built as a plain Digraph is still a tournament
+        plain = Digraph(5, g5.rows)
+        assert [cycle_through(plain, v, 5) for v in range(5)] == [cycle_through(g5, v, 5) for v in range(5)]
+
 
 class TestIsOrder:
     def test_standard_order(self):
@@ -599,7 +653,8 @@ def _structure_graphs(p: int, rng: random.Random) -> list:
 class TestStructureAgainstOracles:
     """strong_components, cycle_through and is_order against their
     pair-by-pair forms, refusals included: every vertex (and one on each
-    side of the range) and every length from 2 to p + 2."""
+    side of the range) and every length from 2 to p + 2.  cycle_through
+    refuses a digraph that is no tournament once vertex and length pass."""
 
     @pytest.mark.parametrize("p", range(13))
     def test_seeded_graphs(self, p):
@@ -611,9 +666,12 @@ class TestStructureAgainstOracles:
             for v in range(-1, p + 1):
                 for length in range(2, p + 3):
                     got = _outcome(cycle_through, g, v, length)
-                    assert got == _outcome(oracle_cycle_through, g, v, length)
+                    want = _outcome(oracle_cycle_through, g, v, length)
+                    if not isinstance(g, Tournament) and want[0] is not BadLength:
+                        want = (InvariantViolation, "cycle_through needs a tournament")
+                    assert got == want
                     kinds.add(got[0] if isinstance(got[0], type) else "cycle")
-        assert kinds == ({BadLength, NotStrong, "cycle"} if p >= 3 else {BadLength})
+        assert kinds == ({BadLength, InvariantViolation, NotStrong, "cycle"} if p >= 3 else {BadLength})
 
     def test_strong_tournaments_every_vertex_and_length(self):
         # random tournaments, and ones whose vertices fall in three blocks

@@ -3,7 +3,9 @@
 Every library certificate must also fire under `python -O`, which strips
 assert statements, so no module of the package may hold one, nor raise or
 name AssertionError.  Every input must end in a result or a DomainError, so
-every raise statement builds one of the classes that errors.py defines."""
+every raise statement builds one of the classes that errors.py defines.
+Every name a module imports is used in it, apart from the re-exports of
+__init__.py and `from __future__ import annotations`."""
 
 import ast
 from pathlib import Path
@@ -36,3 +38,17 @@ def test_raises_domain_errors(path):
         and not (isinstance(node.exc, ast.Call) and isinstance(node.exc.func, ast.Name) and node.exc.func.id in ERRORS)
     ]
     assert found == [], f"{path.name}: a raise on lines {found} builds no class of errors.py"
+
+
+@pytest.mark.parametrize("path", [m for m in MODULES if m.name != "__init__.py"], ids=lambda path: path.name)
+def test_imports_are_used(path):
+    tree = ast.parse(path.read_text(), str(path))
+    imported = {
+        alias.asname or alias.name.split(".")[0]: node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = sorted((line, name) for name, line in imported.items() if name not in used)
+    assert unused == [], f"{path.name}: imported and never used: {unused}"
