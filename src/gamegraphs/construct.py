@@ -199,7 +199,7 @@ def reducibility_graph(g: Game) -> ReducibilityReport:
     """Each vertex's single reducible partner is the one bit of its row."""
     rows = [sum(1 << j for j in _bits(r) if is_reducible_via(g, i, j)) for i, r in enumerate(g.rows)]
     edges = Digraph(g.p, rows)
-    if any(m & (m - 1) for m in rows + [edges._cols[v] for v in range(g.p)]):
+    if any(m & (m - 1) for m in rows + list(edges._cols)):
         raise InvariantViolation("a vertex has two reducible out-edges or two reducible in-edges")
     ne = edges.edge_count()
     if not ne:
@@ -485,7 +485,7 @@ def uniquely_reducible_extension(pi: Game, K: Optional[Iterable[int]] = None) ->
     n = (p + 1) // 2
     rep = reducibility_graph(pi)
     paths = [sum(1 << v for v in c) for c in rep.components]
-    taboo = {*pi.rows, *(pi._cols[i] for i in range(p))}
+    taboo = {*pi.rows, *pi._cols}
 
     def good(ks: tuple[int, ...]) -> bool:
         kmask = sum(1 << k for k in ks)
