@@ -28,7 +28,10 @@ reducibility graph and double recognition, each tested pair by pair.
 The tournament-structure oracles are pair by pair too: strong components
 from the all-pairs reach fixpoint, the cycle insertion of Moon's theorem,
 the transitive-order test and the morphism test of a projection.  The game
-enumerator keeps a running win count for every vertex.
+enumerator keeps a running win count for every vertex.  The group and
+quotient games apply i^-1 j in A pair by pair, the bipartite-tournament
+check scans every ordered pair, and the size-7 classification restricts a
+Digraph to every out-set and in-set.
 """
 
 import random
@@ -59,7 +62,16 @@ from gamegraphs.eulerian import (
 )
 from gamegraphs.morph import _canon_search, automorphisms, canon_hex, canonical_form
 from gamegraphs.reversal import delta_id
-from gamegraphs.errors import BadLength, BudgetExceeded, NotConnected, NotStrong, NotSubgraph, SepExhausted
+from gamegraphs.errors import (
+    BadLength,
+    BudgetExceeded,
+    NotConnected,
+    NotStrong,
+    NotSubgraph,
+    ScoreMismatch,
+    SepExhausted,
+    SizeMismatch,
+)
 
 
 @pytest.fixture(scope="session")
@@ -1299,3 +1311,83 @@ def oracle_is_morphism(theta, big: Digraph, small: Digraph) -> bool:
         for b in range(big.p)
         if a != b and theta[a] != theta[b]
     )
+
+
+def oracle_group_game(G, A) -> Digraph:
+    """Gamma[A] pair by pair: i -> j iff i^-1 j lies in A."""
+    rows = [0] * G.m
+    for i in range(G.m):
+        for j in range(G.m):
+            if i != j and G.mult(G.inverse(i), j) in A:
+                rows[i] |= 1 << j
+    return from_rows(G.m, rows)
+
+
+def oracle_quotient_game(G, H, A):
+    """Gamma[A/H] coset pair by coset pair, from least representatives:
+    (game, cosets sorted by least member, element -> coset)."""
+    hs = tuple(sorted(set(H)))
+    cosets = sorted({tuple(sorted(G.mult(i, h) for h in hs)) for i in range(G.m)})
+    proj = [0] * G.m
+    for k, c in enumerate(cosets):
+        for x in c:
+            proj[x] = k
+    elems = set(A.elements())
+    rows = [0] * len(cosets)
+    for a, ca in enumerate(cosets):
+        for b, cb in enumerate(cosets):
+            if a != b and G.mult(G.inverse(ca[0]), cb[0]) in elems:
+                rows[a] |= 1 << b
+    return from_rows(len(cosets), rows), cosets, proj
+
+
+def oracle_lex_factorization(G, H, A) -> Permutation:
+    """The witness of Gamma[A/H] lex Gamma[A cap H] = Gamma[A] from the two
+    oracle builders: coset x, element k of H goes to (least member of x) h_k."""
+    from gamegraphs.construct import lex_product
+    from gamegraphs.groups import GameSubset, subgroup_group
+
+    quotient, cosets, _ = oracle_quotient_game(G, H, A)
+    Hgrp, hlist = subgroup_group(G, H)
+    inner = GameSubset(Hgrp, [k for k, h in enumerate(hlist) if h in A])
+    prod = lex_product(quotient, oracle_group_game(Hgrp, inner))
+    rho = Permutation([G.mult(c[0], h) for c in cosets for h in hlist])
+    if relabel(prod, rho) != oracle_group_game(G, A):
+        raise ValueError("section map fails to carry the product onto Gamma[A]")
+    return rho
+
+
+def oracle_check_bipartite(g: Digraph, J, K) -> None:
+    """The bipartite-tournament check over every ordered pair, raising on
+    the first bad pair (a, b) in lexicographic order."""
+    js, ks = set(J), set(K)
+    if js & ks or js | ks != set(range(g.p)):
+        raise SizeMismatch("parts must partition the vertices")
+    for a in range(g.p):
+        for b in range(g.p):
+            if a == b:
+                continue
+            cross = (a in js) != (b in js)
+            has = g.has_edge(a, b) or g.has_edge(b, a)
+            if cross and not has and a < b:
+                raise ScoreMismatch(f"undecided cross pair {a},{b}")
+            if not cross and g.has_edge(a, b):
+                raise ScoreMismatch(f"edge inside one part: {a}->{b}")
+
+
+def oracle_classify7(g: Game) -> str:
+    """Type I, II or III of a size-7 game from restricted Digraphs: type I
+    when some vertex has neither its out-set nor its in-set a 3-cycle, type
+    II when every one has both, type III otherwise.  (The library
+    cross-checks its answer against canonical forms itself.)"""
+
+    def three_cycle(verts) -> bool:
+        t = restrict(g, verts)[0]
+        return t.p == 3 and all(t.out_degree(i) == 1 for i in range(3))
+
+    shapes = [(three_cycle(g.out_set(v)), three_cycle(g.in_set(v))) for v in range(g.p)]
+    if any(s == (False, False) for s in shapes):
+        return "I"
+    if all(s == (True, True) for s in shapes):
+        return "II"
+    return "III"

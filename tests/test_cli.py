@@ -7,6 +7,7 @@ import pytest
 
 from gamegraphs.cli import main
 from gamegraphs.core import circulant, make_digraph, parse, serialize
+from gamegraphs.groups import GameSubset, group_game, semidirect_cyclic
 
 
 def run(capsys, *argv):
@@ -29,6 +30,12 @@ class TestGen:
         code, stdout, _ = run(capsys, "gen", "double", str(src))
         assert code == 0
         assert parse(stdout).p == 7
+
+    def test_semidirect_group_game(self, capsys):
+        G = semidirect_cyclic(3, 7, 2)
+        A = GameSubset(G, [1, 2, 3, 7, 8, 9, 10, 11, 12, 13])
+        code, stdout, _ = run(capsys, "gen", "group", "--semidirect", "3,7,2", "--subset", "1,2,3,7,8,9,10,11,12,13")
+        assert code == 0 and stdout == serialize(group_game(G, A))
 
     def test_qr(self, capsys, g7ii):
         code, stdout, _ = run(capsys, "gen", "qr", "--prime", "7")
@@ -318,11 +325,18 @@ class TestExitCodes:
         (["groups", "subsets", "--product", "9,9"], "TooLarge"),
         (["groups", "subsets", "--cyclic", "5000"], "TooLarge"),
         (["groups", "subsets", "--product", "63,63"], "TooLarge"),
+        (["iso", "classify7", "ORDER"], "UsageError"),
+        (["gen", "extend", "GAME", "--k", "1,x"], "UsageError"),
+        (["gen", "group", "--subset", "1"], "UsageError"),
+        (["gen", "group", "--cyclic", "7", "--product", "3,3", "--subset", "1"], "UsageError"),
     ])
     def test_bad_arguments_are_domain_errors(self, tmp_path, capsys, c3, argv, error):
         src = tmp_path / "c3.game"
         src.write_text(serialize(c3))
-        code, stdout, err = run(capsys, *[str(src) if a == "GAME" else a for a in argv])
+        order = tmp_path / "order.tournament"
+        order.write_text(serialize(make_digraph(3, [(0, 1), (0, 2), (1, 2)])))
+        files = {"GAME": str(src), "ORDER": str(order)}
+        code, stdout, err = run(capsys, *[files.get(a, a) for a in argv])
         assert code == 1 and stdout == ""
         assert err.startswith(error + ": ") and "Traceback" not in err
 

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from itertools import product
@@ -18,6 +19,7 @@ from gamegraphs.errors import (
     NotSubgroup,
     ParseError,
     TooLarge,
+    VertexOutOfRange,
 )
 from gamegraphs import groups
 from gamegraphs.groups import (
@@ -52,7 +54,14 @@ from gamegraphs.groups import (
 )
 from gamegraphs.morph import are_isomorphic, automorphisms
 
-from conftest import all_reduced_latin_squares, oracle_game_subsets, oracle_is_associative
+from conftest import (
+    all_reduced_latin_squares,
+    oracle_game_subsets,
+    oracle_group_game,
+    oracle_is_associative,
+    oracle_lex_factorization,
+    oracle_quotient_game,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -546,6 +555,67 @@ class TestQuotientGame:
         z9 = cyclic_group(9)
         with pytest.raises(NotPairSubset):
             quotient_game(z9, [0, 3, 6], GameSubset(z9, [1, 2, 3, 4]))
+
+
+def _oracle_groups() -> list:
+    """Z_m for odd m <= 27, Z3 x Z3, Z3 x Z9 and the nonabelian F21."""
+    return [
+        *(cyclic_group(m) for m in range(3, 28, 2)),
+        direct_product(cyclic_group(3), cyclic_group(3)),
+        direct_product(cyclic_group(3), cyclic_group(9)),
+        semidirect_cyclic(3, 7, 2),
+    ]
+
+
+def _cyclic_subgroups(G: FiniteGroup) -> list:
+    """Every cyclic subgroup of G, as a sorted element tuple."""
+    out = set()
+    for x in range(G.m):
+        H, y = {0}, x
+        while y:
+            H.add(y)
+            y = G.mult(y, x)
+        out.add(tuple(sorted(H)))
+    return sorted(out)
+
+
+def _pair_subsets(G: FiniteGroup, hs, count: int, rng: random.Random) -> list:
+    """Up to count distinct pair game subsets of (G, H), each choosing one
+    block from every inverse pair of blocks at random."""
+    blocks = [*double_cosets(G, hs).blocks[1:], *((h,) for h in hs[1:])]
+    block_of = {x: b for b in blocks for x in b}
+    pairs = [(b, block_of[G.inverse(b[0])]) for b in blocks if b < block_of[G.inverse(b[0])]]
+    seen = {}
+    for _ in range(count):
+        mask = sum(1 << x for pair in pairs for x in rng.choice(pair))
+        seen.setdefault(mask, GameSubset(G, mask))
+    return list(seen.values())
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (NotPairSubset, VertexOutOfRange) as exc:
+        return type(exc), str(exc)
+
+
+class TestTranslationOracles:
+    @pytest.mark.parametrize("G", _oracle_groups(), ids=repr)
+    def test_group_game_agrees_with_pairwise_oracle(self, G):
+        for A in enumerate_game_subsets(G)[:64]:
+            assert group_game(G, A) == oracle_group_game(G, A), A
+
+    @pytest.mark.parametrize("G", [*_oracle_groups(), cyclic_group(75)], ids=repr)
+    def test_quotient_and_factorization_agree_with_oracles(self, G):
+        # Z75 and its two smallest subgroups give quotients or products past
+        # 64 vertices: the same VertexOutOfRange must end both sides
+        rng = random.Random(G.m)
+        for hs in _cyclic_subgroups(G):
+            for A in _pair_subsets(G, hs, 32, rng):
+                got = _outcome(lambda: quotient_game(G, hs, A))
+                assert got == _outcome(lambda: oracle_quotient_game(G, hs, A)), (hs, A)
+                got = _outcome(lambda: lex_factorization_check(G, hs, A))
+                assert got == _outcome(lambda: oracle_lex_factorization(G, hs, A)), (hs, A)
 
 
 class TestLexFactorization:

@@ -47,6 +47,7 @@ from conftest import (
     oracle_bits_under,
     oracle_canon_search,
     oracle_canon_tree,
+    oracle_classify7,
     oracle_is_morphism,
     oracle_iso,
     oracle_refine,
@@ -420,6 +421,15 @@ class TestClassify7:
     def test_bad_size(self, g5):
         with pytest.raises(BadSize):
             classify7(g5)
+
+    def test_every_labeled_game_agrees_with_restriction_oracle(self):
+        kinds = {"I": 0, "II": 0, "III": 0}
+        for g in enumerate_games(7):
+            kind = classify7(g)
+            assert kind == oracle_classify7(g), g.rows
+            kinds[kind] += 1
+        # labeled counts 7!/|Aut|: |Aut| = 7, 21 and 3
+        assert kinds == {"I": 720, "II": 240, "III": 1680}
 
 
 class TestClassify9Group:

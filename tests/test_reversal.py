@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from gamegraphs import reversal
 from gamegraphs.atlas import enumerate_games
 from gamegraphs.construct import double
 from gamegraphs.core import (
@@ -37,11 +38,13 @@ from gamegraphs.reversal import (
 
 from conftest import (
     disjoint_walk,
+    oracle_check_bipartite,
     oracle_cycle_decomposition,
     oracle_delta,
     oracle_euler_trail,
     oracle_plan_descent,
     oracle_reverse_subgraph,
+    random_digraph,
     random_tournament,
 )
 
@@ -133,6 +136,7 @@ class TestDelta:
             rho = Permutation(image)
             d = delta(rho, pi, gamma)
             assert d == oracle_delta(rho, pi, gamma)
+            assert delta_id(pi, gamma) == oracle_delta(Permutation.identity(p), pi, gamma)
             assert reverse_subgraph(pi, d) == oracle_reverse_subgraph(pi, d)
             # any subgraph of pi, Eulerian or not, reverses edge by edge
             sub = EdgeSet(p, [e for e in pi.edges() if rng.random() < 0.3])
@@ -386,6 +390,38 @@ class TestBipartitePlan:
         plan = bipartite_plan(a, b, [0, 1, 2], [3, 4, 5])
         assert all(len(mv) == 4 for mv in plan.moves)
         assert apply_plan(a, plan) == b
+
+    @pytest.mark.parametrize("p", range(1, 10))
+    def test_check_agrees_with_pairwise_oracle(self, p):
+        # seeded bipartite tournaments with a few pairs dropped or added
+        # inside a part, random digraphs, and parts that overlap or miss a
+        # vertex: the same error class and message as the pair scan, or none
+        rng = random.Random(700 + p)
+        for trial in range(450):
+            J = [v for v in range(p) if rng.random() < 0.5]
+            K = [v for v in range(p) if v not in J]
+            if trial % 9 == 0:
+                g = random_digraph(p, rng)
+            else:
+                edges = []
+                for a in range(p):
+                    for b in range(a + 1, p):
+                        if (a in J) != (b in J):
+                            if rng.random() < 0.97:
+                                edges.append((a, b) if rng.random() < 0.5 else (b, a))
+                        elif rng.random() < 0.03:
+                            edges.append((a, b) if rng.random() < 0.5 else (b, a))
+                g = make_digraph(p, edges)
+            if trial % 15 == 0:
+                K = K + J[:1] if rng.random() < 0.5 else K[1:]
+            outcomes = []
+            for check in (reversal._check_bipartite_tournament, oracle_check_bipartite):
+                try:
+                    check(g, J, K)
+                    outcomes.append(None)
+                except (ScoreMismatch, SizeMismatch) as exc:
+                    outcomes.append((type(exc), str(exc)))
+            assert outcomes[0] == outcomes[1], (g.rows, J, K)
 
 
 class TestSpecialCycles:

@@ -3,7 +3,8 @@
 Every library certificate must also fire under `python -O`, which strips
 assert statements, so no module of the package may hold one, nor raise or
 name AssertionError.  Every input must end in a result or a DomainError, so
-every raise statement builds one of the classes that errors.py defines.
+every raise statement builds one of the classes that errors.py defines, and
+every class there but DomainError is raised somewhere.
 Every name a module imports is used in it, apart from the re-exports of
 __init__.py and `from __future__ import annotations`."""
 
@@ -52,3 +53,13 @@ def test_imports_are_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted((line, name) for name, line in imported.items() if name not in used)
     assert unused == [], f"{path.name}: imported and never used: {unused}"
+
+
+def test_every_error_class_is_raised():
+    raised = {
+        node.exc.func.id
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and isinstance(node.exc.func, ast.Name)
+    }
+    assert sorted(ERRORS - raised - {"DomainError"}) == []
