@@ -49,12 +49,12 @@ def _game_rows(p: int, fixed_row0: Optional[int] = None) -> Iterator[tuple[int, 
             yield tuple(rows)
             return
         later = range(i + 1, p)
-        need = n - bin(rows[i]).count("1")
+        need = n - rows[i].bit_count()
         wins = sorted(sum(1 << j for j in c) for c in combinations(later, need))
         if i == 0 and fixed_row0 is not None:
             wins = [win for win in wins if win == fixed_row0]
         rest = sum(1 << j for j in later)
-        done = sum(1 << j for j in later if bin(rows[j]).count("1") >= n)  # no win to spare
+        done = sum(1 << j for j in later if rows[j].bit_count() >= n)  # no win to spare
         for win in wins:
             lose = rest ^ win
             if lose & done:
@@ -260,9 +260,11 @@ def convexity_check(pi: Game, Q: Sequence[int]) -> bool:
     """Whether the games agreeing with pi on every edge at Q form a convex set
     (no geodesic between members leaves the set)."""
     p = pi.p
-    if p > 7:
-        raise BudgetExceeded("convexity check is exhaustive; size 7 is the budget")
+    if p > DIAMETER_LIMIT:
+        raise BudgetExceeded(f"convexity check is exhaustive; size {DIAMETER_LIMIT} is the budget")
     qset = set(Q)
+    if not qset <= set(range(p)):
+        raise VertexOutOfRange(f"Q vertices must lie in 0..{p - 1}")
     fixed = [
         (i, j)
         for (i, j) in pi.edges()

@@ -332,11 +332,8 @@ def eulerian_to_game(d: Digraph, record: Optional[list[int]] = None) -> Game:
         raise NotEulerian("in/out degrees unbalanced")
     p = d.p
     n = (p - 1) // 2
-    rows = list(d.rows)
-    for i in range(p):
-        for j in range(i + 1, p):
-            if not (rows[i] >> j) & 1 and not (rows[j] >> i) & 1:
-                rows[i] |= 1 << j
+    full = (1 << p) - 1
+    rows = [r | (full & -(2 << i) & ~(r | c)) for i, (r, c) in enumerate(zip(d.rows, d._cols))]
     free = [~r for r in d.rows]
 
     def deviation() -> int:

@@ -83,16 +83,16 @@ class Digraph:
         return tuple(_bits(self._cols[i]))
 
     def out_degree(self, i: int) -> int:
-        return bin(self.rows[i]).count("1")
+        return self.rows[i].bit_count()
 
     def in_degree(self, i: int) -> int:
-        return bin(self._cols[i]).count("1")
+        return self._cols[i].bit_count()
 
     def edges(self) -> list[tuple[int, int]]:
         return [(i, j) for i in range(self.p) for j in _bits(self.rows[i])]
 
     def edge_count(self) -> int:
-        return sum(bin(r).count("1") for r in self.rows)
+        return sum(r.bit_count() for r in self.rows)
 
     def is_eulerian(self) -> bool:
         """Every vertex has equal in- and out-degree."""
@@ -135,7 +135,7 @@ class Game(Tournament):
             raise InvariantViolation(f"game needs odd vertex count, got {self.p}")
         n = (self.p - 1) // 2
         for i in range(self.p):
-            if bin(self.rows[i]).count("1") != n:
+            if self.rows[i].bit_count() != n:
                 raise InvariantViolation(f"not regular: vertex {i} has score != {n}")
 
     @property

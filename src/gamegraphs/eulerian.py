@@ -421,7 +421,7 @@ def strong_components(g: Digraph) -> list[list[int]]:
         reach.append(seen)
     classes = {sum(1 << w for w in _bits(reach[v]) if reach[w] >> v & 1) for v in range(g.p)}
     comps = [list(_bits(c)) for c in classes]
-    comps.sort(key=lambda c: (-bin(reach[c[0]]).count("1"), c[0]))
+    comps.sort(key=lambda c: (-reach[c[0]].bit_count(), c[0]))
     return comps
 
 

@@ -85,6 +85,8 @@ class FiniteGroup:
     def __init__(self, table: Sequence[Sequence[int]]):
         m = len(table)
         _check_order(m)
+        if m == 0:
+            raise InvariantViolation("a Cayley table needs the identity element")
         tab = tuple(tuple(row) for row in table)
         for row in tab:
             if len(row) != m or sorted(row) != list(range(m)):
@@ -242,7 +244,7 @@ class GameSubset:
         return bool((self.mask >> e) & 1)
 
     def __len__(self) -> int:
-        return bin(self.mask).count("1")
+        return self.mask.bit_count()
 
     @property
     def is_full(self) -> bool:
@@ -306,21 +308,31 @@ def enumerate_game_subsets(G: FiniteGroup) -> list[GameSubset]:
     return _block_subsets(G, ([e] for e in range(1, G.m)))
 
 
+def _translation_game(G: FiniteGroup, A: GameSubset, reps: Sequence[int], proj: Sequence[int]) -> Game:
+    """The game on the left cosets of H that proj names: coset k, represented
+    by reps[k], beats the coset proj[reps[k] a] of each a in A but itself, so
+    i -> j iff i^-1 j in A.  One-element cosets give Gamma[A]."""
+    bit = [1 << c for c in proj]
+    elems = A.elements()
+    rows = []
+    for k, i in enumerate(reps):
+        row, r = G.table[i], 0
+        for a in elems:
+            r |= bit[row[a]]
+        rows.append(r & ~(1 << k))
+    g = from_rows(len(rows), rows)
+    if not isinstance(g, Game):
+        raise InvariantViolation("the translation game of a game subset is not a game")
+    return g
+
+
 def group_game(G: FiniteGroup, A: GameSubset) -> Game:
     """Gamma[A]: edge i -> j iff i^-1 j in A.  Every left translation is an automorphism."""
     if A.group != G:
         raise NotGameSubset("subset belongs to a different group")
     if not A.is_full:
         raise NotGameSubset("subset does not split every inverse pair")
-    rows = [0] * G.m
-    for i in range(G.m):
-        for j in range(G.m):
-            if i != j and G.mult(G.inverse(i), j) in A:
-                rows[i] |= 1 << j
-    g = from_rows(G.m, rows)
-    if not isinstance(g, Game):
-        raise InvariantViolation("the group game of a full game subset is not a game")
-    return g
+    return _translation_game(G, A, range(G.m), range(G.m))
 
 
 def translation_perms(G: FiniteGroup) -> list[Permutation]:
@@ -476,11 +488,10 @@ def pair_game_subsets(G: FiniteGroup, H: Iterable[int]) -> list[GameSubset]:
 
 
 def is_pair_game_subset(G: FiniteGroup, H: Iterable[int], A: GameSubset) -> bool:
-    """A is a full game subset, and i in A outside H puts all of HiH in A."""
-    blocks = double_cosets(G, H).blocks[1:]
-    if not A.is_full:
+    """A is a full game subset of G, and i in A outside H puts all of HiH in A."""
+    if A.group != G or not A.is_full:
         return False
-    for blk in blocks:
+    for blk in double_cosets(G, H).blocks[1:]:
         mask = sum(1 << x for x in blk)
         if A.mask & mask not in (0, mask):
             return False
@@ -505,16 +516,7 @@ def quotient_game(
     for k, c in enumerate(cosets):
         for x in c:
             proj[x] = k
-    elems = set(A.elements())
-    rows = [0] * len(cosets)
-    for a, ca in enumerate(cosets):
-        for b, cb in enumerate(cosets):
-            if a != b and G.mult(G.inverse(ca[0]), cb[0]) in elems:
-                rows[a] |= 1 << b
-    g = from_rows(len(cosets), rows)
-    if not isinstance(g, Game):
-        raise InvariantViolation("the quotient of a pair game subset is not a game")
-    return g, cosets, proj
+    return _translation_game(G, A, [c[0] for c in cosets], proj), cosets, proj
 
 
 def lex_factorization_check(G: FiniteGroup, H: Iterable[int], A: GameSubset) -> Permutation:
@@ -523,12 +525,9 @@ def lex_factorization_check(G: FiniteGroup, H: Iterable[int], A: GameSubset) -> 
     The coset section takes the minimum-index representative; the witness is
     verified edge by edge before being returned.
     """
-    hs = _check_subgroup(G, H)
-    if not is_pair_game_subset(G, hs, A):
-        raise NotPairSubset("A is not a game subset for (G, H)")
-    quotient, cosets, _ = quotient_game(G, hs, A)
-    Hgrp, hlist = subgroup_group(G, hs)
-    inner = GameSubset(Hgrp, [hlist.index(x) for x in A.elements() if x in set(hs)])
+    quotient, cosets, _ = quotient_game(G, H, A)
+    Hgrp, hlist = subgroup_group(G, cosets[0])
+    inner = GameSubset(Hgrp, [k for k, h in enumerate(hlist) if h in A])
     fiber = group_game(Hgrp, inner)
     prod = lex_product(quotient, fiber)
     image = [0] * G.m
@@ -579,7 +578,7 @@ def orbit_subgame(g: Game, T: FiniteGroup, action: Sequence[Permutation], a: int
     # element of each inverse pair), the first in enumeration order
     mask = sum(1 << h for h in H if 0 < h < T.inverse(h))
     for t in range(T.m):
-        if t not in H and g.has_edge(a, action[t](a)):
+        if t not in H and (g.rows[a] >> action[t](a)) & 1:
             mask |= 1 << t
     A = GameSubset(T, mask)
     quotient, cosets, _ = quotient_game(T, H, A)

@@ -330,24 +330,20 @@ def _seven_fixtures() -> dict[str, int]:
     }
 
 
-def _is_three_cycle(t: Digraph) -> bool:
-    return t.p == 3 and all(t.out_degree(i) == 1 for i in range(3))
-
-
 def classify7(g: Game) -> str:
     """Type I, II or III by the in/out neighborhood criterion.
 
     Straddle in-set and out-set at any vertex forces type I; 3-cycles at
-    every vertex is exactly type II; a mix is type III.  Cross-checked
-    against the canonical forms of the three reference games.
+    every vertex is exactly type II; a mix is type III.  A 3-vertex set is a
+    3-cycle when each of its vertices beats exactly one other inside it.
+    Cross-checked against the canonical forms of the three reference games.
     """
     if g.p != 7:
         raise BadSize("classification needs a game of size 7")
-    shapes = []
-    for v in range(g.p):
-        out_c = _is_three_cycle(restrict(g, g.out_set(v))[0])
-        in_c = _is_three_cycle(restrict(g, g.in_set(v))[0])
-        shapes.append((out_c, in_c))
+    shapes = [
+        tuple(all((g.rows[u] & s).bit_count() == 1 for u in _bits(s)) for s in (g.rows[v], g._cols[v]))
+        for v in range(g.p)
+    ]
     if any(s == (False, False) for s in shapes):
         kind = "I"
     elif all(s == (True, True) for s in shapes):

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import Digraph, Permutation, Tournament, _bits, from_rows
+from .core import Digraph, Permutation, Tournament, from_rows, relabel
 from .errors import (
     InvariantViolation,
     NotACycle,
@@ -31,16 +31,18 @@ from .eulerian import cycle_decomposition, span
 
 
 def delta(rho: Permutation, pi: Tournament, gamma: Tournament) -> Digraph:
-    """Edges of pi that rho sends to reversed edges of gamma."""
-    if pi.p != gamma.p or len(rho) != pi.p:
+    """Edges of pi that rho sends to reversed edges of gamma: Delta(Pi, rho^-1 Gamma)."""
+    if len(rho) != gamma.p:
         raise SizeMismatch("graphs and permutation must share one vertex count")
-    rows = [sum(1 << j for j in _bits(r) if gamma.has_edge(rho(j), rho(i))) for i, r in enumerate(pi.rows)]
-    return Digraph(pi.p, rows)
+    return delta_id(pi, relabel(gamma, rho.inverse()))
 
 
 def delta_id(pi: Tournament, gamma: Tournament) -> Digraph:
-    """Delta(Pi, Gamma): the identity-permutation case."""
-    return delta(Permutation.identity(pi.p), pi, gamma)
+    """Delta(Pi, Gamma): the edges of pi whose reverse is in gamma, row i of
+    pi meeting column i of gamma."""
+    if pi.p != gamma.p:
+        raise SizeMismatch("graphs and permutation must share one vertex count")
+    return Digraph(pi.p, [r & c for r, c in zip(pi.rows, gamma._cols)])
 
 
 def reverse_subgraph(pi: Digraph, d: Digraph) -> Digraph:
@@ -190,19 +192,21 @@ def parity(pi: Tournament, gamma: Tournament) -> str:
 
 
 def _check_bipartite_tournament(g: Digraph, J: Iterable[int], K: Iterable[int]) -> None:
+    """Cross pairs all joined and no edge inside a part; reports the least bad pair (a, b)."""
     js, ks = set(J), set(K)
     if js & ks or js | ks != set(range(g.p)):
         raise SizeMismatch("parts must partition the vertices")
+    full = (1 << g.p) - 1
+    jmask = sum(1 << v for v in js)
     for a in range(g.p):
-        for b in range(g.p):
-            if a == b:
-                continue
-            cross = (a in js) != (b in js)
-            has = g.has_edge(a, b) or g.has_edge(b, a)
-            if cross and not has and a < b:
+        same = jmask if (jmask >> a) & 1 else full & ~jmask
+        undecided = full & ~same & ~(g.rows[a] | g._cols[a])
+        bad = undecided | (g.rows[a] & same)
+        if bad:
+            b = (bad & -bad).bit_length() - 1
+            if (undecided >> b) & 1:
                 raise ScoreMismatch(f"undecided cross pair {a},{b}")
-            if not cross and g.has_edge(a, b):
-                raise ScoreMismatch(f"edge inside one part: {a}->{b}")
+            raise ScoreMismatch(f"edge inside one part: {a}->{b}")
 
 
 def bipartite_plan(pi: Digraph, gamma: Digraph, J: Iterable[int], K: Iterable[int]) -> ReversalPlan:

@@ -42,6 +42,7 @@ from math import factorial
 import pytest
 
 from gamegraphs.atlas import Atlas, ClassInfo, census, enumerate_games
+from gamegraphs.construct import lex_product
 from gamegraphs.core import (
     Digraph,
     EdgeSet,
@@ -60,6 +61,7 @@ from gamegraphs.eulerian import (
     span_lower_bound,
     three_cycles,
 )
+from gamegraphs.groups import GameSubset, subgroup_group
 from gamegraphs.morph import _canon_search, automorphisms, canon_hex, canonical_form
 from gamegraphs.reversal import delta_id
 from gamegraphs.errors import (
@@ -1344,9 +1346,6 @@ def oracle_quotient_game(G, H, A):
 def oracle_lex_factorization(G, H, A) -> Permutation:
     """The witness of Gamma[A/H] lex Gamma[A cap H] = Gamma[A] from the two
     oracle builders: coset x, element k of H goes to (least member of x) h_k."""
-    from gamegraphs.construct import lex_product
-    from gamegraphs.groups import GameSubset, subgroup_group
-
     quotient, cosets, _ = oracle_quotient_game(G, H, A)
     Hgrp, hlist = subgroup_group(G, H)
     inner = GameSubset(Hgrp, [k for k, h in enumerate(hlist) if h in A])

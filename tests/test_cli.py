@@ -329,6 +329,7 @@ class TestExitCodes:
         (["gen", "extend", "GAME", "--k", "1,x"], "UsageError"),
         (["gen", "group", "--subset", "1"], "UsageError"),
         (["gen", "group", "--cyclic", "7", "--product", "3,3", "--subset", "1"], "UsageError"),
+        (["gen", "group", "--cyclic", "0", "--subset", ""], "InvariantViolation"),
     ])
     def test_bad_arguments_are_domain_errors(self, tmp_path, capsys, c3, argv, error):
         src = tmp_path / "c3.game"

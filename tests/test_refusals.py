@@ -4,7 +4,7 @@ checks of one class, with the message that tells them apart)."""
 
 import pytest
 
-from gamegraphs.atlas import geodesic_count, interchange_distance
+from gamegraphs.atlas import convexity_check, geodesic_count, interchange_distance
 from gamegraphs.construct import (
     embed_in_game,
     extend_embedding,
@@ -16,12 +16,14 @@ from gamegraphs.core import Digraph, EdgeSet, Game, Permutation, Tournament, cir
 from gamegraphs.errors import (
     BadAction,
     BadK,
+    BudgetExceeded,
     EvenOrder,
     EvenOrderAction,
     EvenOrderSubgroup,
     InvariantViolation,
     NotACycle,
     NotGameSubset,
+    NotPairSubset,
     NotSubgroup,
     ParseError,
     ScoreMismatch,
@@ -35,12 +37,14 @@ from gamegraphs.groups import (
     FiniteGroup,
     GameSubset,
     cyclic_group,
+    direct_product,
     group_game,
     h_invariant_subsets,
+    lex_factorization_check,
     orbit_subgame,
     pair_game_subsets,
     parse_group,
-    translation_perms,
+    quotient_game,
 )
 from gamegraphs.reversal import ReversalPlan, apply_plan, bipartite_plan, parity, plan_any, reverse_subgraph
 
@@ -50,6 +54,8 @@ C3 = circulant(3, (1,))
 G5 = circulant(5, (1, 2))
 G7 = circulant(7, (1, 2, 3))
 Z3, Z7, Z9 = cyclic_group(3), cyclic_group(7), cyclic_group(9)
+# a game subset of Z3 x Z3, the other group of order 9
+FOREIGN9 = GameSubset(direct_product(Z3, Z3), [1, 3, 4, 7])
 ID7 = Permutation.identity(7)
 SHIFT7 = Permutation([(i + 1) % 7 for i in range(7)])
 SWAP7 = Permutation([1, 0, 2, 3, 4, 5, 6])
@@ -74,8 +80,14 @@ REFUSALS = [
     ("table rows", lambda: FiniteGroup([[0, 0], [1, 1]]), InvariantViolation, "permutations"),
     ("table identity", lambda: FiniteGroup([[1, 0], [0, 1]]), InvariantViolation, "identity"),
     ("table inverses", lambda: FiniteGroup([[0, 1, 2], [1, 2, 0], [2, 1, 0]]), InvariantViolation, "inverses"),
+    ("empty table", lambda: FiniteGroup([]), InvariantViolation, "needs the identity"),
+    ("cyclic order 0", lambda: cyclic_group(0), InvariantViolation, "needs the identity"),
+    ("cyclic negative order", lambda: cyclic_group(-3), InvariantViolation, "needs the identity"),
+    ("group file order 0", lambda: parse_group("group 0\n"), InvariantViolation, "needs the identity"),
     ("group game foreign subset", lambda: group_game(Z7, GameSubset(Z9, [1, 2, 3, 4])), NotGameSubset, "different group"),
     ("group game partial subset", lambda: group_game(Z7, GameSubset(Z7, [1])), NotGameSubset, "split"),
+    ("quotient foreign subset", lambda: quotient_game(Z9, [0], FOREIGN9), NotPairSubset, "for \\(G, H\\)"),
+    ("factorization foreign subset", lambda: lex_factorization_check(Z9, [0, 3, 6], FOREIGN9), NotPairSubset, "for \\(G, H\\)"),
     ("orbit even group", lambda: orbit_subgame(G7, cyclic_group(2), [ID7, ID7], 0), EvenOrderAction, "odd order"),
     ("orbit action count", lambda: orbit_subgame(G7, Z7, [ID7] * 3, 0), BadAction, "one permutation"),
     ("orbit action length", lambda: orbit_subgame(G7, Z3, [Permutation.identity(5)] * 3, 0), VertexOutOfRange, "length"),
@@ -93,6 +105,9 @@ REFUSALS = [
     ("bipartite undecided", lambda: bipartite_plan(UNDECIDED, BIPARTITE, [0, 1], [2, 3]), ScoreMismatch, "undecided cross pair 1,3"),
     ("bipartite sizes", lambda: bipartite_plan(BIPARTITE, C3, [0, 1], [2, 3]), SizeMismatch, "different vertex counts"),
     # atlas and construct
+    ("convexity budget", lambda: convexity_check(circulant(9, (1, 2, 3, 4)), []), BudgetExceeded, "size 7"),
+    ("convexity Q above", lambda: convexity_check(G5, [9]), VertexOutOfRange, "Q vertices"),
+    ("convexity Q below", lambda: convexity_check(G5, [-1]), VertexOutOfRange, "Q vertices"),
     ("distance sizes", lambda: interchange_distance(C3, G5), SizeMismatch, "different vertex counts"),
     ("geodesics sizes", lambda: geodesic_count(C3, G5), SizeMismatch, "different vertex counts"),
     ("realize sizes", lambda: realize_pointed(C3, standard_order(2)), SizeMismatch, "equal size"),
