@@ -616,8 +616,8 @@ class TestTranslationOracles:
 
     @pytest.mark.parametrize("G", [*_oracle_groups(), cyclic_group(75)], ids=repr)
     def test_quotient_and_factorization_agree_with_oracles(self, G):
-        # Z75 and its two smallest subgroups give quotients or products past
-        # 64 vertices: the same VertexOutOfRange must end both sides
+        # every factorization of Z75, and its quotient by {0}, passes 64
+        # vertices: the same VertexOutOfRange must end both sides
         rng = random.Random(G.m)
         for hs in _cyclic_subgroups(G):
             for A in _pair_subsets(G, hs, 32, rng):
