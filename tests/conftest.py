@@ -31,13 +31,16 @@ the transitive-order test and the morphism test of a projection.  The game
 enumerator keeps a running win count for every vertex.  The group and
 quotient games apply i^-1 j in A pair by pair, the bipartite-tournament
 check scans every ordered pair, and the size-7 classification restricts a
-Digraph to every out-set and in-set.
+Digraph to every out-set and in-set.  Group automorphisms come from a scan
+of every bijection that fixes the identity, each tested on all pairs of
+elements, and on a relabelled cyclic table from the unit maps conjugated by
+the relabelling.
 """
 
 import random
 from collections import defaultdict
 from itertools import combinations, permutations
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 
@@ -61,7 +64,7 @@ from gamegraphs.eulerian import (
     span_lower_bound,
     three_cycles,
 )
-from gamegraphs.groups import GameSubset, subgroup_group
+from gamegraphs.groups import FiniteGroup, GameSubset, subgroup_group
 from gamegraphs.morph import _canon_search, automorphisms, canon_hex, canonical_form
 from gamegraphs.reversal import delta_id
 from gamegraphs.errors import (
@@ -860,6 +863,39 @@ def oracle_is_associative(table) -> bool:
         table[table[i][j]][k] == table[i][table[j][k]]
         for i in range(m) for j in range(m) for k in range(m)
     )
+
+
+def oracle_is_group_automorphism(G, image) -> bool:
+    """image preserves every product, tested pair by pair."""
+    return all(
+        image[G.mult(i, j)] == G.mult(image[i], image[j]) for i in range(G.m) for j in range(G.m)
+    )
+
+
+def oracle_group_automorphisms(G) -> list:
+    """Every automorphism of G, sorted by image: a scan of all (m-1)!
+    bijections that fix the identity, each given the all-pairs test."""
+    return [
+        Permutation((0,) + img)
+        for img in permutations(range(1, G.m))
+        if oracle_is_group_automorphism(G, (0,) + img)
+    ]
+
+
+def relabelled_group(G, sigma: Permutation):
+    """The Cayley table of G with element x renamed sigma(x); sigma fixes 0."""
+    back = sigma.inverse().image
+    return FiniteGroup([[sigma(G.mult(i, j)) for j in back] for i in back])
+
+
+def oracle_relabelled_cyclic_automorphisms(m: int, sigma: Permutation) -> list:
+    """The automorphisms of Z_m renamed by sigma, sorted by image: each unit
+    map x -> a x, conjugated by sigma."""
+    back = sigma.inverse()
+    maps = [Permutation(range(1))] if m == 1 else [
+        Permutation([sigma((a * back(x)) % m) for x in range(m)]) for a in range(1, m) if gcd(a, m) == 1
+    ]
+    return sorted(maps, key=lambda q: q.image)
 
 
 def all_reduced_latin_squares(m: int):

@@ -57,10 +57,13 @@ from gamegraphs.morph import are_isomorphic, automorphisms
 from conftest import (
     all_reduced_latin_squares,
     oracle_game_subsets,
+    oracle_group_automorphisms,
     oracle_group_game,
     oracle_is_associative,
     oracle_lex_factorization,
     oracle_quotient_game,
+    oracle_relabelled_cyclic_automorphisms,
+    relabelled_group,
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -370,6 +373,28 @@ class TestGroupAutomorphisms:
         monkeypatch.setattr(groups, "cyclic_group", None)  # building another would fail
         ga = group_automorphisms(z63)
         assert ga.perms == tuple(multiplication_map(63, a) for a in units(63))
+
+    def test_z3xz3_matches_the_brute_force_oracle(self):
+        G = direct_product(cyclic_group(3), cyclic_group(3))
+        assert list(group_automorphisms(G).perms) == oracle_group_automorphisms(G)
+
+    @pytest.mark.parametrize("m, a, b", [(m, a, b) for m in (5, 7) for a in range(1, m) for b in range(a + 1, m)])
+    def test_transposed_cyclic_table_matches_the_brute_force_oracle(self, m, a, b):
+        image = list(range(m))
+        image[a], image[b] = b, a
+        G = relabelled_group(cyclic_group(m), Permutation(image))
+        assert list(group_automorphisms(G).perms) == oracle_group_automorphisms(G)
+
+    def test_relabelled_cyclic_tables_match_the_conjugated_units(self):
+        # orders up to the group limit; a table past the old brute-force
+        # order keeps the standard labels
+        for m in [*range(1, 10), *range(11, 256, 2)]:
+            rest = list(range(1, m))
+            if m <= 9:
+                random.Random(m).shuffle(rest)
+            sigma = Permutation([0] + rest)
+            got = group_automorphisms(relabelled_group(cyclic_group(m), sigma))
+            assert list(got.perms) == oracle_relabelled_cyclic_automorphisms(m, sigma), m
 
     def test_relabelled_cyclic_table_is_searched(self):
         # Z7 with 1 and 2 swapped: cyclic, but not the standard table, so its
