@@ -3,7 +3,8 @@
 Groups are bare Cayley tables with identity index 0; all the library-scale
 examples have order at most 27, so validating the table is cheap
 (associativity by Light's test, at generators only), and an order above
-_ORDER_LIMIT raises TooLarge before its table is built.  A game subset A
+_ORDER_LIMIT raises TooLarge before its table is built.  Maps on a group
+(automorphisms, actions) are built and checked at the same generators.  A game subset A
 picks one element from each inverse pair, and its group game Gamma[A] has
 an edge i -> j exactly when i^-1 j lies in A.
 """
@@ -11,9 +12,9 @@ an edge i -> j exactly when i^-1 j lies in A.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations as iter_permutations
 from itertools import product
-from math import gcd
+from math import gcd, prod
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .construct import lex_product
@@ -78,9 +79,13 @@ def _generators(tab: Sequence[Sequence[int]]) -> list[int]:
 
 
 class FiniteGroup:
-    """Group given by its Cayley table; element 0 is the identity."""
+    """Group given by its Cayley table; element 0 is the identity.
 
-    __slots__ = ("m", "table", "inv")
+    gens are the generators _generators picks; every map on the group is
+    built and checked at them.
+    """
+
+    __slots__ = ("m", "table", "inv", "gens")
 
     def __init__(self, table: Sequence[Sequence[int]]):
         m = len(table)
@@ -101,7 +106,8 @@ class FiniteGroup:
                     inv[i] = j
         if any(v < 0 for v in inv) or any(tab[inv[i]][i] != 0 for i in range(m)):
             raise InvariantViolation("missing inverses")
-        for k in _generators(tab):
+        gens = tuple(_generators(tab))
+        for k in gens:
             col = [row[k] for row in tab]
             for row in tab:
                 if list(map(col.__getitem__, row)) != list(map(row.__getitem__, col)):
@@ -109,6 +115,7 @@ class FiniteGroup:
         self.m = m
         self.table = tab
         self.inv = tuple(inv)
+        self.gens = gens
 
     def mult(self, i: int, j: int) -> int:
         return self.table[i][j]
@@ -157,6 +164,8 @@ def semidirect_cyclic(q: int, p: int, a: int) -> FiniteGroup:
 
     Element (x, y) has index x*p + y and (x1,y1)(x2,y2) = (x1+x2, y1*a^x2 + y2).
     """
+    if p < 1:
+        raise BadAction(f"Z_{p} has no elements to act on")
     if gcd(a, p) != 1 or pow(a, q, p) != 1:
         raise BadAction(f"{a}^{q} != 1 mod {p}")
     _check_order(q * p)
@@ -166,8 +175,30 @@ def semidirect_cyclic(q: int, p: int, a: int) -> FiniteGroup:
     return FiniteGroup(tab)
 
 
+_FACTOR_LIMIT = 1 << 40  # a prime near it takes 2^19 trial divisors
+
+
+def _factorize(m: int) -> dict[int, int]:
+    """Prime -> exponent for m >= 1, by trial division."""
+    if m > _FACTOR_LIMIT:
+        raise TooLarge(f"{m} > 2^40 is past the factoring budget")
+    x, factors = m, {}
+    d = 2
+    while d * d <= x:
+        while x % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            x //= d
+        d += 1 if d == 2 else 2
+    if x > 1:
+        factors[x] = factors.get(x, 0) + 1
+    return factors
+
+
 def euler_phi(m: int) -> int:
-    return len(units(m))
+    """The number of units mod m: the product of q^(e-1) (q-1) over m's prime powers q^e."""
+    if m < 1:
+        raise InvariantViolation("modulus must be positive")
+    return prod(q ** (e - 1) * (q - 1) for q, e in _factorize(m).items())
 
 
 def units(m: int) -> tuple[int, ...]:
@@ -186,15 +217,7 @@ def is_fermat_square_free(m: int) -> bool:
     """
     if m <= 1 or m % 2 == 0:
         raise InvariantViolation("needs an odd number > 1")
-    x, factors = m, {}
-    d = 3
-    while d * d <= x:
-        while x % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            x //= d
-        d += 2
-    if x > 1:
-        factors[x] = factors.get(x, 0) + 1
+    factors = _factorize(m)
     direct = all(e == 1 for e in factors.values()) and all(
         (q - 1) & (q - 2) == 0 for q in factors
     )
@@ -254,6 +277,8 @@ class GameSubset:
         return GameSubset(self.group, [self.group.inverse(e) for e in self.elements()])
 
     def apply(self, xi: Permutation) -> "GameSubset":
+        if len(xi) != self.group.m:
+            raise VertexOutOfRange("permutation length != group order")
         return GameSubset(self.group, [xi(e) for e in self.elements()])
 
     def __eq__(self, other) -> bool:
@@ -344,37 +369,59 @@ def translation_perms(G: FiniteGroup) -> list[Permutation]:
 
 
 def _is_group_automorphism(G: FiniteGroup, xi: Permutation) -> bool:
-    return all(
-        xi(G.mult(i, j)) == G.mult(xi(i), xi(j)) for i in range(G.m) for j in range(G.m)
-    )
+    """xi(g x) = xi(g) xi(x) for every generator g and every x, read as rows.
+
+    The g where this holds for every x are closed under products, as in
+    Light's test, so a bijection that passes is an automorphism.
+    """
+    if len(xi) != G.m:
+        raise VertexOutOfRange("permutation length != group order")
+    img, tab = xi.image, G.table
+    return all(itemgetter(*tab[g])(img) == itemgetter(*img)(tab[img[g]]) for g in G.gens)
 
 
 def multiplication_map(m: int, a: int) -> Permutation:
     return Permutation([(a * i) % m for i in range(m)])
 
 
-_BRUTE_LIMIT = 9  # largest non-cyclic table brute-forced for automorphisms
+# Most (choices of generator images) x (group order) one automorphism search
+# may spread.  Time and the size of the answer both grow with it: Z15 x Z15
+# (36,864 choices, 23,040 automorphisms) is answered, Z3^3 x Z5 is not.
+_AUT_WORK = 1 << 23
 
 
 def group_automorphisms(G: FiniteGroup) -> AutGroup:
-    """All Cayley-table-preserving bijections.
+    """All Cayley-table-preserving bijections, sorted by image.
 
-    Standard cyclic tables get the analytic answer (multiplication by each
-    unit); other groups are brute-forced over bijections fixing the identity,
-    capped at order 9.
+    An automorphism is fixed by where it sends the generators G.gens, and it
+    sends each to an element of the same order.  Each choice of such images
+    is spread from the identity along x -> g x, as xi(g x) = xi(g) xi(x), and
+    kept when it is a bijection that _is_group_automorphism accepts.
+    TooLarge is raised before any choice is tried when choices x order is
+    above _AUT_WORK.
     """
-    m = G.m
-    if G.table == tuple(tuple((i + j) % m for j in range(m)) for i in range(m)):
-        perms = [multiplication_map(m, a) for a in units(m)] if m > 1 else [
-            Permutation.identity(1)
-        ]
-        return AutGroup(tuple(sorted(perms, key=lambda q: q.image)))
-    if G.m > _BRUTE_LIMIT:
-        raise TooLarge(f"generic automorphism search capped at order {_BRUTE_LIMIT}")
+    m, tab = G.m, G.table
+    order = [G.element_order(x) for x in range(m)]
+    pools = [[y for y in range(m) if order[y] == order[g]] for g in G.gens]
+    choices = prod(map(len, pools))
+    if choices * m > _AUT_WORK:
+        raise TooLarge(f"{choices} choices of generator images x order {m} > {_AUT_WORK}")
+    # each element but 0 once, as (g_k x, x, k) with x reached before it
+    tree, reached = [], [0]
+    seen = {0}
+    for x in reached:
+        for k, g in enumerate(G.gens):
+            y = tab[g][x]
+            if y not in seen:
+                seen.add(y)
+                reached.append(y)
+                tree.append((y, x, k))
     out = []
-    for img in iter_permutations(range(1, G.m)):
-        xi = Permutation((0,) + img)
-        if _is_group_automorphism(G, xi):
+    for imgs in product(*pools):
+        img, rows = [0] * m, [tab[h] for h in imgs]
+        for y, x, k in tree:
+            img[y] = rows[k][img[x]]
+        if len(set(img)) == m and _is_group_automorphism(G, xi := Permutation(img)):
             out.append(xi)
     return AutGroup(tuple(sorted(out, key=lambda q: q.image)))
 
@@ -565,13 +612,17 @@ def orbit_subgame(g: Game, T: FiniteGroup, action: Sequence[Permutation], a: int
         raise EvenOrderAction("acting group must have odd order")
     if len(action) != T.m:
         raise BadAction("need one permutation per group element")
+    if any(len(s) != g.p for s in action):
+        raise VertexOutOfRange("permutation length != p")
+    if not 0 <= a < g.p:
+        raise VertexOutOfRange(f"base vertex {a} outside 0..{g.p - 1}")
     for t1 in range(T.m):
-        if len(action[t1]) != g.p:
-            raise VertexOutOfRange("permutation length != p")
         if not _is_automorphism(g.rows, action[t1].image):
             raise BadAction(f"element {t1} does not act as an automorphism")
-        for t2 in range(T.m):
-            if action[T.mult(t1, t2)] != action[t1].compose(action[t2]):
+        # enough at the generators, as in _is_group_automorphism; 0 stands in
+        # for them in the trivial group, where it must act as the identity
+        for t2 in (0, *T.gens):
+            if action[T.mult(t2, t1)] != action[t2].compose(action[t1]):
                 raise BadAction("action is not a homomorphism")
     H = tuple(sorted(t for t in range(T.m) if action[t](a) == a))
     # A meets H in any game subset of H; take the least mask (the lesser

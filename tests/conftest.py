@@ -866,9 +866,10 @@ def oracle_is_associative(table) -> bool:
 
 
 def oracle_is_group_automorphism(G, image) -> bool:
-    """image preserves every product, tested pair by pair."""
+    """image(i j) = image(i) image(j) for every pair i, j, one row i at a time."""
     return all(
-        image[G.mult(i, j)] == G.mult(image[i], image[j]) for i in range(G.m) for j in range(G.m)
+        list(map(image.__getitem__, G.table[i])) == list(map(G.table[image[i]].__getitem__, image))
+        for i in range(G.m)
     )
 
 

@@ -30,6 +30,7 @@ CASES = [
     ('gen extend {c3} --k 0,1', 0, 'sha256:8496ab6c8dd98447145624b361f2d63a39fc95a4407e5fdc3ddec46cea37fb10', ''),
     ('gen extend {c3} --k 0,0,1', 1, '', 'BadK'),
     ('gen group --cyclic 7 --subset 1,2,3', 0, 'sha256:952987542b3814ea687c746701314c57e070e65bd27f83c1cdb4ff9ccb3d87b3', ''),
+    ('gen group --semidirect 3,0,1 --subset 1', 1, '', 'BadAction'),
     ('gen group --group-file {z7} --subset 1,2,4', 0, 'sha256:c3f2c4a5a4469b852e761f2e0b846badf9093bab79a5b15e5d750a84abb46340', ''),
     ('gen qr --prime 7', 0, 'sha256:c3f2c4a5a4469b852e761f2e0b846badf9093bab79a5b15e5d750a84abb46340', ''),
     ('gen realize {t3} {c3}', 0, 'sha256:2a357558b9c106513f44f4dacc573473f1a3948b0befc65b3395412d9817d6f9', ''),
@@ -65,6 +66,7 @@ CASES = [
     ('groups quotient --cyclic 9 --subgroup 0,3,6 --subset 1,3,4,7', 0, 'game 3\n010\n001\n100\n', ''),
     ('groups factorize --cyclic 9 --subgroup 0,3,6 --subset 1,3,4,7', 0, 'witness 0 3 6 1 4 7 2 5 8\n', ''),
     ('groups phi 21', 0, '12\n', ''),
+    ('groups phi 100000007', 0, '100000006\n', ''),
     ('groups fermat 15', 0, 'yes\n', ''),
     ('groups explore-aut 5', 0, 'aut_order=5 subsets=4\nextra_automorphism_subsets=0\n', ''),
     ('groups explore-iso-families 9', 0, 'phi=6\nfamily_sizes=6,6,4\nexceeds_phi=no\n', ''),

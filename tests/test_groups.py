@@ -59,6 +59,7 @@ from conftest import (
     oracle_game_subsets,
     oracle_group_automorphisms,
     oracle_group_game,
+    oracle_is_group_automorphism,
     oracle_is_associative,
     oracle_lex_factorization,
     oracle_quotient_game,
@@ -67,6 +68,14 @@ from conftest import (
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _dp(*orders):
+    """Z_{orders[0]} x Z_{orders[1]} x ..., as nested direct products."""
+    G = cyclic_group(orders[0])
+    for m in orders[1:]:
+        G = direct_product(G, cyclic_group(m))
+    return G
 
 # The certificates in groups must raise even when asserts are stripped.  Each
 # case breaks what one check relies on and prints its name when that check
@@ -197,6 +206,15 @@ class TestArithmetic:
 
     def test_units(self):
         assert units(9) == (1, 2, 4, 5, 7, 8)
+
+    def test_phi_counts_the_units(self):
+        assert all(euler_phi(m) == len(units(m)) for m in range(1, 3000))
+
+    def test_phi_of_a_large_prime_factors_it(self):
+        assert euler_phi(100_000_007) == 100_000_006
+        assert euler_phi(2 ** 40) == 2 ** 39
+        with pytest.raises(TooLarge):
+            euler_phi(2 ** 40 + 1)
 
     def test_fermat_square_free(self):
         assert is_fermat_square_free(15)  # 3 * 5
@@ -386,33 +404,77 @@ class TestGroupAutomorphisms:
         assert list(group_automorphisms(G).perms) == oracle_group_automorphisms(G)
 
     def test_relabelled_cyclic_tables_match_the_conjugated_units(self):
-        # orders up to the group limit; a table past the old brute-force
-        # order keeps the standard labels
-        for m in [*range(1, 10), *range(11, 256, 2)]:
+        # orders up to the group limit, each under a seeded relabelling
+        for m in [*range(1, 10), *range(11, 64, 2), *range(65, 256, 14), 255]:
             rest = list(range(1, m))
-            if m <= 9:
-                random.Random(m).shuffle(rest)
+            random.Random(m).shuffle(rest)
             sigma = Permutation([0] + rest)
             got = group_automorphisms(relabelled_group(cyclic_group(m), sigma))
             assert list(got.perms) == oracle_relabelled_cyclic_automorphisms(m, sigma), m
 
-    def test_relabelled_cyclic_table_is_searched(self):
-        # Z7 with 1 and 2 swapped: cyclic, but not the standard table, so its
+    @pytest.mark.parametrize("m", [7, 11])
+    def test_relabelled_cyclic_table_is_searched(self, m):
+        # Z_m with 1 and 2 swapped: cyclic, but not the standard table, so its
         # automorphisms are the unit maps conjugated by the swap
-        swap = Permutation([0, 2, 1, 3, 4, 5, 6])
-        z7 = cyclic_group(7)
-        G = FiniteGroup([[swap(z7.mult(swap(i), swap(j))) for j in range(7)] for i in range(7)])
-        want = {swap.compose(multiplication_map(7, a)).compose(swap) for a in units(7)}
+        swap = Permutation([0, 2, 1] + list(range(3, m)))
+        zm = cyclic_group(m)
+        G = FiniteGroup([[swap(zm.mult(swap(i), swap(j))) for j in range(m)] for i in range(m)])
+        want = {swap.compose(multiplication_map(m, a)).compose(swap) for a in units(m)}
         ga = group_automorphisms(G)
-        assert set(ga.perms) == want != set(group_automorphisms(z7).perms)
-        # past the brute-force cap a non-standard table is refused, not
-        # mistaken for the standard one
-        swap11 = Permutation([0, 2, 1] + list(range(3, 11)))
-        z11 = cyclic_group(11)
-        with pytest.raises(TooLarge):
-            group_automorphisms(
-                FiniteGroup([[swap11(z11.mult(swap11(i), swap11(j))) for j in range(11)] for i in range(11)])
-            )
+        assert set(ga.perms) == want != set(group_automorphisms(zm).perms)
+
+    def test_choice_budget_is_checked_before_any_choice(self, monkeypatch):
+        # Z3^4: 80^4 = 40,960,000 choices of images for its four generators
+        z3 = cyclic_group(3)
+        G = direct_product(direct_product(z3, z3), direct_product(z3, z3))
+        monkeypatch.setattr(groups, "product", None)  # trying a choice would fail
+        with pytest.raises(TooLarge, match="40960000 choices"):
+            group_automorphisms(G)
+
+    # |Aut| from closed forms: |GL(n, q)| for the elementary abelian groups,
+    # 81 |GL(2, 3)| for Z9 x Z9, |Hol(Z7)| for F21 = Z3 x| Z7, 108 for Z3 x Z9
+    AUT_ORDERS = {
+        "Z3xZ9": (lambda: _dp(3, 9), 108),
+        "F21": (lambda: semidirect_cyclic(3, 7, 2), 42),
+        "Z5xZ5": (lambda: _dp(5, 5), 480),
+        "Z3^3": (lambda: _dp(3, 3, 3), 11_232),
+        "Z7xZ7": (lambda: _dp(7, 7), 2_016),
+        "Z9xZ9": (lambda: _dp(9, 9), 3_888),
+        "Z11xZ11": (lambda: _dp(11, 11), 13_200),
+        "Z13xZ13": (lambda: _dp(13, 13), 26_208),
+    }
+
+    @pytest.mark.parametrize("name", AUT_ORDERS)
+    def test_orders_match_closed_forms(self, name):
+        build, order = self.AUT_ORDERS[name]
+        G = build()
+        perms = group_automorphisms(G).perms
+        assert len(perms) == order == len(set(perms))
+        assert list(perms) == sorted(perms, key=lambda q: q.image)
+        # every map under the all-pairs test; a seeded sample of the largest
+        sample = perms if order * G.m ** 2 <= 5_000_000 else random.Random(order).sample(perms, 100)
+        assert all(oracle_is_group_automorphism(G, xi.image) for xi in sample)
+
+    @pytest.mark.parametrize("name", ["Z3xZ9", "F21"])
+    def test_invariant_subsets_of_groups_past_the_old_brute_force(self, name):
+        # every cyclic subgroup of odd order in Aut, against a filter of all
+        # game subsets by invariance under its generator.  Aut(F21) is
+        # Hol(Z7): the trivial group, one of order 7 and seven of order 3.
+        G = self.AUT_ORDERS[name][0]()
+        everything = [(A.mask, frozenset(A.elements())) for A in enumerate_game_subsets(G)]
+        seen = set()
+        for xi in group_automorphisms(G):
+            if xi.order() % 2 == 0:
+                continue
+            H = [Permutation.identity(G.m)]
+            while len(H) < xi.order():
+                H.append(xi.compose(H[-1]))
+            if frozenset(H) in seen:
+                continue
+            seen.add(frozenset(H))
+            want = [mask for mask, elems in everything if frozenset(map(xi, elems)) == elems]
+            assert [A.mask for A in h_invariant_subsets(G, H)] == want
+        assert len(seen) == {"Z3xZ9": 14, "F21": 9}[name]
 
 
 class TestIsomorphicSubsetFamily:

@@ -38,13 +38,17 @@ from gamegraphs.groups import (
     GameSubset,
     cyclic_group,
     direct_product,
+    euler_phi,
     group_game,
     h_invariant_subsets,
+    is_fermat_square_free,
     lex_factorization_check,
     orbit_subgame,
     pair_game_subsets,
     parse_group,
     quotient_game,
+    semidirect_cyclic,
+    translation_perms,
 )
 from gamegraphs.reversal import ReversalPlan, apply_plan, bipartite_plan, parity, plan_any, reverse_subgraph
 
@@ -93,6 +97,16 @@ REFUSALS = [
     ("orbit action length", lambda: orbit_subgame(G7, Z3, [Permutation.identity(5)] * 3, 0), VertexOutOfRange, "length"),
     ("orbit non-automorphism", lambda: orbit_subgame(G7, Z3, [ID7, SWAP7, SWAP7], 0), BadAction, "automorphism"),
     ("orbit non-homomorphism", lambda: orbit_subgame(G7, Z3, [ID7, ID7, SHIFT7], 0), BadAction, "homomorphism"),
+    ("orbit trivial group moves", lambda: orbit_subgame(G7, cyclic_group(1), [SHIFT7], 0), BadAction, "homomorphism"),
+    ("orbit base vertex above", lambda: orbit_subgame(G7, Z7, translation_perms(Z7), 9), VertexOutOfRange, "base vertex"),
+    ("orbit base vertex below", lambda: orbit_subgame(G7, Z7, translation_perms(Z7), -1), VertexOutOfRange, "base vertex"),
+    ("subset image short", lambda: GameSubset(Z7, [1, 2, 4]).apply(Permutation.identity(5)), VertexOutOfRange, "length"),
+    ("subset image long", lambda: GameSubset(Z7, [1, 2, 4]).apply(Permutation.identity(9)), VertexOutOfRange, "length"),
+    ("invariant short map", lambda: h_invariant_subsets(Z7, [Permutation.identity(5)]), VertexOutOfRange, "length"),
+    ("invariant long map", lambda: h_invariant_subsets(Z7, [Permutation.identity(9)]), VertexOutOfRange, "length"),
+    ("semidirect on Z_0", lambda: semidirect_cyclic(3, 0, 1), BadAction, "Z_0"),
+    ("phi past the factoring budget", lambda: euler_phi(2 ** 40 + 1), TooLarge, "factoring budget"),
+    ("fermat past the factoring budget", lambda: is_fermat_square_free(2 ** 40 + 1), TooLarge, "factoring budget"),
     ("invariant even subgroup", lambda: h_invariant_subsets(Z7, [ID7, ID7]), EvenOrderSubgroup, "odd order"),
     ("invariant non-automorphism", lambda: h_invariant_subsets(Z7, [SWAP7]), NotSubgroup, "non-automorphism"),
     ("pair subsets even group", lambda: pair_game_subsets(cyclic_group(4), [0]), EvenOrder, "group order"),

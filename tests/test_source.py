@@ -6,14 +6,21 @@ name AssertionError.  Every input must end in a result or a DomainError, so
 every raise statement builds one of the classes that errors.py defines, and
 every class there but DomainError is raised somewhere.
 Every name a module imports is used in it, apart from the re-exports of
-__init__.py and `from __future__ import annotations`."""
+__init__.py and `from __future__ import annotations`.  Every module it imports
+comes from the standard library, the package itself or a dependency that
+pyproject.toml declares, so an import of a package that merely happens to be
+installed fails here and not on another machine."""
 
 import ast
+import re
+import sys
+import tomllib
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "gamegraphs"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "gamegraphs"
 MODULES = sorted(PACKAGE.glob("*.py"))
 ERRORS = {node.name for node in ast.parse((PACKAGE / "errors.py").read_text()).body if isinstance(node, ast.ClassDef)}
 
@@ -63,3 +70,22 @@ def test_every_error_class_is_raised():
         if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and isinstance(node.exc.func, ast.Name)
     }
     assert sorted(ERRORS - raised - {"DomainError"}) == []
+
+
+def _declared_dependencies() -> set:
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    return {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower().replace("-", "_") for dep in project["dependencies"]}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_imports_are_declared(path):
+    allowed = set(sys.stdlib_module_names) | {PACKAGE.name} | _declared_dependencies()
+    tree = ast.parse(path.read_text(), str(path))
+    tops = {
+        (alias.name if isinstance(node, ast.Import) else node.module).split(".")[0]: node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and node.level == 0)
+        for alias in node.names
+    }
+    undeclared = sorted((line, name) for name, line in tops.items() if name not in allowed)
+    assert undeclared == [], f"{path.name}: imports neither stdlib nor declared: {undeclared}"
