@@ -79,11 +79,8 @@ def _generators(tab: Sequence[Sequence[int]]) -> list[int]:
 
 
 class FiniteGroup:
-    """Group given by its Cayley table; element 0 is the identity.
-
-    gens are the generators _generators picks; every map on the group is
-    built and checked at them.
-    """
+    """Group given by its Cayley table; element 0 is the identity, and gens
+    (picked by _generators) generate it."""
 
     __slots__ = ("m", "table", "inv", "gens")
 
@@ -369,7 +366,7 @@ def translation_perms(G: FiniteGroup) -> list[Permutation]:
 
 
 def _is_group_automorphism(G: FiniteGroup, xi: Permutation) -> bool:
-    """xi(g x) = xi(g) xi(x) for every generator g and every x, read as rows.
+    """xi(g x) = xi(g) xi(x) for every generator g and every x, a row at a time.
 
     The g where this holds for every x are closed under products, as in
     Light's test, so a bijection that passes is an automorphism.
@@ -385,8 +382,7 @@ def multiplication_map(m: int, a: int) -> Permutation:
 
 
 # Most (choices of generator images) x (group order) one automorphism search
-# may spread.  Time and the size of the answer both grow with it: Z15 x Z15
-# (36,864 choices, 23,040 automorphisms) is answered, Z3^3 x Z5 is not.
+# spreads; its time and the size of its answer grow with this product.
 _AUT_WORK = 1 << 23
 
 
@@ -407,8 +403,7 @@ def group_automorphisms(G: FiniteGroup) -> AutGroup:
     if choices * m > _AUT_WORK:
         raise TooLarge(f"{choices} choices of generator images x order {m} > {_AUT_WORK}")
     # each element but 0 once, as (g_k x, x, k) with x reached before it
-    tree, reached = [], [0]
-    seen = {0}
+    tree, reached, seen = [], [0], {0}
     for x in reached:
         for k, g in enumerate(G.gens):
             y = tab[g][x]

@@ -893,9 +893,7 @@ def oracle_relabelled_cyclic_automorphisms(m: int, sigma: Permutation) -> list:
     """The automorphisms of Z_m renamed by sigma, sorted by image: each unit
     map x -> a x, conjugated by sigma."""
     back = sigma.inverse()
-    maps = [Permutation(range(1))] if m == 1 else [
-        Permutation([sigma((a * back(x)) % m) for x in range(m)]) for a in range(1, m) if gcd(a, m) == 1
-    ]
+    maps = [Permutation([sigma((a * back(x)) % m) for x in range(m)]) for a in range(m) if gcd(a, m) == 1]
     return sorted(maps, key=lambda q: q.image)
 
 

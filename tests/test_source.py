@@ -14,7 +14,6 @@ installed fails here and not on another machine."""
 import ast
 import re
 import sys
-import tomllib
 from pathlib import Path
 
 import pytest
@@ -73,6 +72,7 @@ def test_every_error_class_is_raised():
 
 
 def _declared_dependencies() -> set:
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     return {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower().replace("-", "_") for dep in project["dependencies"]}
 
