@@ -8,7 +8,8 @@ acceptance suite.  Point-to-point distance and geodesic counting search
 from both ends and stop where the two searches meet (Pohl, *Bi-directional
 search*, 1971); whole-graph sweeps such as the diameter search from one
 source over the materialized `FullInterchange`.  Every search steps with one
-neighbor routine over row-mask tuples.
+neighbor routine over row-mask tuples.  The labeled and pointed game counts
+both come from the labeled-count DP, which enumerates nothing.
 """
 
 from __future__ import annotations
@@ -18,26 +19,26 @@ from itertools import combinations
 from math import comb, factorial
 from typing import Iterator, Optional, Sequence
 
-from .core import Game, _bits, circulant
+from .core import Game, _bits, circulant, restrict
 from .errors import BudgetExceeded, InvariantViolation, SizeMismatch, VertexOutOfRange
 from .eulerian import _three_cycles, count_eulerian_subgraphs
 from .morph import automorphisms, canon_hex, canonical_form
 
 
-SIZE_LIMIT = 9  # largest size enumerated, pointed-counted or censused
+SIZE_LIMIT = 9  # largest size enumerated or censused
 DIAMETER_LIMIT = 7  # largest size swept from every class
 
 
-def _check_size(p: int, limit: int) -> None:
+def _check_size(p: int, limit: Optional[int] = None) -> None:
     if p < 0:
         raise VertexOutOfRange(f"vertex count {p} is negative")
     if p % 2 == 0:
         raise SizeMismatch("games have odd size")
-    if p > limit:
+    if limit is not None and p > limit:
         raise BudgetExceeded(f"size {p} is past the budget of size {limit}")
 
 
-def _game_rows(p: int, fixed_row0: Optional[int] = None) -> Iterator[tuple[int, ...]]:
+def _game_rows(p: int) -> Iterator[tuple[int, ...]]:
     """Backtracking over out-neighbor masks, ascending, so the stream is
     lexicographic in the row-mask tuple.  Vertex i beats the later vertices
     of its win mask and loses to the rest, which must not have n wins yet."""
@@ -51,8 +52,6 @@ def _game_rows(p: int, fixed_row0: Optional[int] = None) -> Iterator[tuple[int, 
         later = range(i + 1, p)
         need = n - rows[i].bit_count()
         wins = sorted(sum(1 << j for j in c) for c in combinations(later, need))
-        if i == 0 and fixed_row0 is not None:
-            wins = [win for win in wins if win == fixed_row0]
         rest = sum(1 << j for j in later)
         done = sum(1 << j for j in later if rows[j].bit_count() >= n)  # no win to spare
         for win in wins:
@@ -78,11 +77,12 @@ def enumerate_games(p: int) -> Iterator[Game]:
 
 
 def count_pointed_games(p: int) -> int:
-    """|Games(I+, I-)|: labeled games whose base vertex 0 beats exactly 1..n."""
-    _check_size(p, SIZE_LIMIT)
-    n = (p - 1) // 2
-    fixed = sum(1 << j for j in range(1, n + 1))
-    return sum(1 for _ in _game_rows(p, fixed_row0=fixed))
+    """|Games(I+, I-)|: labeled games whose base vertex 0 beats exactly 1..n.
+    Without vertex 0 they are the tournaments where 1..n have n wins and the
+    rest n - 1, as in the circulant 1..n minus 0, so the DP counts them."""
+    _check_size(p)
+    base, _ = restrict(circulant(p, range(1, (p - 1) // 2 + 1)), range(1, p))
+    return count_eulerian_subgraphs(base)
 
 
 @dataclass(frozen=True)
@@ -321,10 +321,9 @@ class CountReport:
 def count_report(n: int) -> CountReport:
     """Exact labeled and pointed counts against the formula lower bounds.
 
-    The exact total comes from the labeled-count DP, the pointed count from
-    constrained enumeration (sizes up to 9), and the product law
-    total = C(2n, n) * pointed is verified.  Literature values for n = 3
-    are carried along purely for comparison.
+    Both exact counts come from the labeled-count DP (n <= 9; TooLarge
+    past it), and the product law total = C(2n, n) * pointed is verified.
+    Literature values for n = 3 are carried along purely for comparison.
     """
     p = 2 * n + 1
     base = circulant(p, range(1, n + 1))

@@ -34,7 +34,7 @@ from .errors import (
     TooLarge,
     VertexOutOfRange,
 )
-from .morph import AutGroup, _is_automorphism, _orbit_roots, automorphisms
+from .morph import AutGroup, _closure, _is_automorphism, automorphisms
 
 
 # The limit bounds the m^2 Cayley table and the walks over it.  A group
@@ -163,7 +163,7 @@ def semidirect_cyclic(q: int, p: int, a: int) -> FiniteGroup:
     """
     if p < 1:
         raise BadAction(f"Z_{p} has no elements to act on")
-    if gcd(a, p) != 1 or pow(a, q, p) != 1:
+    if gcd(a, p) != 1 or pow(a, q, p) != 1 % p:
         raise BadAction(f"{a}^{q} != 1 mod {p}")
     _check_order(q * p)
     tab = [[0] * (q * p) for _ in range(q * p)]
@@ -439,22 +439,18 @@ def isomorphic_subset_family(G: FiniteGroup, A: GameSubset) -> list[GameSubset]:
 
 
 def h_invariant_subsets(G: FiniteGroup, H: Iterable[Permutation]) -> list[GameSubset]:
-    """Game subsets fixed setwise by every member of an odd-order subgroup H of G*.
-
-    The H-orbits of G \\ {e} come in inverse pairs; choosing one orbit per
-    pair gives all 2^(pair count) invariant subsets.
-    """
+    """Game subsets fixed setwise by H, automorphisms of G whose closure has
+    odd order (TooLarge past _AUT_WORK / |G| maps).  The H-orbits of G \\ {e}
+    come in inverse pairs; choosing one orbit per pair gives all
+    2^(pair count) invariant subsets."""
     hperms = list(H)
-    if len(hperms) % 2 == 0:
-        raise EvenOrderSubgroup("H must have odd order")
     for xi in hperms:
         if not _is_group_automorphism(G, xi):
             raise NotSubgroup("H contains a non-automorphism")
-    roots = _orbit_roots(G.m, [xi.image for xi in hperms])
-    orbits: dict[int, list[int]] = {}
-    for e in range(1, G.m):
-        orbits.setdefault(roots[e], []).append(e)
-    subs = _block_subsets(G, orbits.values())
+    closure = _closure(G.m, [xi.image for xi in hperms], _AUT_WORK // G.m)
+    if len(closure) % 2 == 0:
+        raise EvenOrderSubgroup(f"H must have odd order; it generates a group of order {len(closure)}")
+    subs = _block_subsets(G, {frozenset(h[e] for h in closure) for e in range(1, G.m)})
     if any(s.apply(xi) != s for s in subs for xi in hperms):
         raise InvariantViolation("a union of H-orbits is not H-invariant")
     return subs

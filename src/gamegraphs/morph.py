@@ -31,9 +31,8 @@ of b's full search; if the graphs are isomorphic, a's bits are b's minimum,
 so that leaf is b's first minimum leaf and the witness is the one two full
 searches would give.  No leaf of b can equal a's bits otherwise.
 
-`automorphisms` closes the generators into the group by Dimino's algorithm:
-a generator already in the group built so far is skipped, and each new one
-extends the group coset by coset, so every element is composed once rather
+`automorphisms` closes the generators into the group coset by coset
+(Dimino's algorithm, `_closure`), so every element is composed once rather
 than once per generator.
 """
 
@@ -268,19 +267,15 @@ def are_isomorphic(a: Digraph, b: Digraph) -> Optional[Permutation]:
     return rho
 
 
-def automorphisms(g: Digraph) -> AutGroup:
-    """The full automorphism group, sorted by image.
-
-    The canonical search returns generators (one per pair of equal leaves
-    it met); the group is their closure by Dimino's algorithm.  With H the
-    group closed so far, a generator already in H is skipped.  For a new
+def _closure(p: int, gens: Sequence[tuple[int, ...]], limit: Optional[int] = None) -> set[tuple[int, ...]]:
+    """The group that the image tuples gens generate on 0..p-1; TooLarge
+    before it holds more than `limit` elements.  Dimino's algorithm: with H
+    the group closed so far, a generator already in H is skipped.  For a new
     one, each right coset's representative r (H itself first) times each
-    generator t kept so far either lies in a coset already found or adds
-    the coset H rt, so every element is composed once.  A permutation is a
-    tuple of images: "x then y" is tuple(map(y.__getitem__, x)).
-    """
-    gens = _canon_search(g, _CANON_NODES).generators
-    ident = tuple(range(g.p))
+    generator t kept so far either lies in a coset already found or adds the
+    coset H rt, so every element is composed once.  "x then y" is
+    tuple(map(y.__getitem__, x))."""
+    ident = tuple(range(p))
     group = {ident}
     kept: list[tuple[int, ...]] = []
     for s in gens:
@@ -293,8 +288,17 @@ def automorphisms(g: Digraph) -> AutGroup:
             for t in kept:
                 rt = tuple(map(t.__getitem__, r))
                 if rt not in group:
+                    if limit is not None and len(group) + len(sub) > limit:
+                        raise TooLarge(f"the generated group has more than {limit} elements")
                     group.update([tuple(map(rt.__getitem__, h)) for h in sub])
                     reps.append(rt)
+    return group
+
+
+def automorphisms(g: Digraph) -> AutGroup:
+    """The full automorphism group, sorted by image: the closure of the
+    canonical search's generators (one per pair of equal leaves it met)."""
+    group = _closure(g.p, _canon_search(g, _CANON_NODES).generators)
     return AutGroup(tuple(Permutation(a) for a in sorted(group)))
 
 

@@ -572,10 +572,14 @@ def oracle_canon_search(g: Digraph):
 
 def oracle_aut_closure(g: Digraph) -> list:
     """The automorphism group as the sorted closure of every generator the
-    search records, built breadth first by composing each element found
-    with each generator."""
-    gens = _canon_search(g, 2_000_000).generators
-    ident = tuple(range(g.p))
+    search records."""
+    return sorted(oracle_closure(g.p, _canon_search(g, 2_000_000).generators))
+
+
+def oracle_closure(p: int, gens) -> set:
+    """The group that the image tuples gens generate on 0..p-1, built breadth
+    first by composing each element found with each generator."""
+    ident = tuple(range(p))
     group = {ident}
     frontier = [ident]
     while frontier:
@@ -587,7 +591,7 @@ def oracle_aut_closure(g: Digraph) -> list:
                     group.add(b)
                     nxt.append(b)
         frontier = nxt
-    return sorted(group)
+    return group
 
 
 def oracle_simple_path(edges, src: int, dst: int):

@@ -4,7 +4,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
-from math import factorial
+from math import comb, factorial
 from pathlib import Path
 
 import pytest
@@ -24,8 +24,8 @@ from gamegraphs.atlas import (
 )
 from gamegraphs.cli import main
 from gamegraphs.core import Game, Permutation, circulant, relabel, reverse
-from gamegraphs.errors import BudgetExceeded
-from gamegraphs.eulerian import span, three_cycle_stats
+from gamegraphs.errors import BudgetExceeded, SizeMismatch, TooLarge, VertexOutOfRange
+from gamegraphs.eulerian import count_eulerian_subgraphs, span, three_cycle_stats
 from gamegraphs.morph import canon_hex, canonical_form
 from gamegraphs.reversal import delta_id
 
@@ -94,16 +94,9 @@ class TestEnumerate:
 
     def test_row_stream_against_win_counts(self):
         # the enumerator against backtracking with a running win count per
-        # vertex, even sizes (no games) and refused first rows included
+        # vertex, even sizes (no games) included
         for p in range(9):
             assert list(_game_rows(p)) == oracle_game_rows(p)
-        for p in (3, 5):
-            for row0 in range(1 << p):
-                assert list(_game_rows(p, row0)) == oracle_game_rows(p, row0)
-        for row0 in (0b1110, 0b1110000, 0b1010100, 0b1101000, 0b0111000, 0b11):
-            assert list(_game_rows(7, row0)) == oracle_game_rows(7, row0)
-        pointed = list(_game_rows(9, 0b11110))
-        assert len(pointed) == 46_144 and pointed == oracle_game_rows(9, 0b11110)
 
 
 class TestCensus:
@@ -165,10 +158,22 @@ class TestPointedCounts:
     def test_n3(self):
         assert count_pointed_games(7) == 132
 
-    def test_budget(self):
-        # the count lists pointed games, 191 million of them at size 11
-        with pytest.raises(BudgetExceeded):
-            count_pointed_games(11)
+    @pytest.mark.parametrize("p, count", [(1, 1), (3, 1), (5, 4), (7, 132), (9, 46_144)])
+    def test_against_enumeration(self, p, count):
+        # the DP of C_p minus vertex 0 against the games whose row 0 is 1..n
+        row0 = sum(1 << j for j in range(1, (p - 1) // 2 + 1))
+        assert count_pointed_games(p) == len(oracle_game_rows(p, row0)) == count
+
+    def test_size11_pinned(self):
+        # past the enumeration budget; times C(10, 5) it is the labeled count
+        pointed = count_pointed_games(11)
+        assert pointed == 191_474_240
+        assert comb(10, 5) * pointed == count_eulerian_subgraphs(circulant(11, range(1, 6))) == 48_251_508_480
+
+    @pytest.mark.parametrize("p, error", [(8, SizeMismatch), (-1, VertexOutOfRange)])
+    def test_refuses_sizes_with_no_games(self, p, error):
+        with pytest.raises(error):
+            count_pointed_games(p)
 
 
 class TestDistance:
@@ -354,6 +359,17 @@ class TestCountReport:
         assert rep.binom == 6
         assert rep.formula_total_lower == 24
         assert rep.literature_total is None
+
+    @pytest.mark.parametrize("n", range(10))
+    def test_product_law_and_pointed_bound(self, n):
+        # every n the DP answers; the pointed count is at least 2^(n(n-1))
+        rep = count_report(n)
+        assert rep.exact_total == comb(2 * n, n) * rep.exact_pointed
+        assert rep.exact_pointed >= rep.formula_pointed_lower == 2 ** (n * (n - 1))
+
+    def test_n10_is_too_large(self):
+        with pytest.raises(TooLarge):
+            count_report(10)
 
     def test_product_law_raises_under_python_O(self):
         env = dict(os.environ, PYTHONPATH=str(SRC))

@@ -274,10 +274,18 @@ class TestAtlas:
         code, stdout, err = run(capsys, "atlas", verb, "-1")
         assert code == 1 and stdout == "" and err.startswith("VertexOutOfRange")
 
-    def test_report_past_the_budget(self, capsys):
-        # the labeled total is cheap at size 11, the pointed count is not
+    def test_report_past_the_enumeration_budget(self, capsys):
+        # size 11 is past enumeration; both counts come from the DP
         code, stdout, err = run(capsys, "atlas", "report", "5")
-        assert code == 1 and stdout == "" and err.startswith("BudgetExceeded")
+        assert code == 0 and err == ""
+        data = json.loads(stdout)
+        assert (data["n"], data["p"], data["binom"]) == (5, 11, 252)
+        assert data["exact_pointed"] == 191_474_240
+        assert data["exact_total"] == data["binom"] * data["exact_pointed"]
+
+    def test_report_past_the_dp(self, capsys):
+        code, stdout, err = run(capsys, "atlas", "report", "10")
+        assert code == 1 and stdout == "" and err.startswith("TooLarge")
 
     def test_report_banner(self, capsys):
         code, stdout, err = run(capsys, "atlas", "report", "3")

@@ -75,6 +75,7 @@ CASES = [
     ('atlas diameter 5', 0, '{\n  "diameter": 4,\n  "n_squared": 4,\n  "p": 5\n}\n', ''),
     ('atlas distance {g7iii} {g7ii}', 0, '1\n', ''),
     ('atlas report 3', 0, 'sha256:85af5bdef53d2df836ebf9537bd6d9c57b2a6330f2f7459311772e2a31fc17ca', 'DISCREPANCY'),
+    ('atlas report 9', 0, 'sha256:bfe64975b7d024d8b0bbe9486106e78d7013a952e1e05e6fbc59df3983ab8299', ''),
 ]
 
 

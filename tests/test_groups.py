@@ -12,6 +12,7 @@ from gamegraphs.errors import (
     BadAction,
     BadPrime,
     EvenOrder,
+    EvenOrderSubgroup,
     ExtraAutomorphisms,
     InvariantViolation,
     NotGameSubset,
@@ -56,6 +57,7 @@ from gamegraphs.morph import are_isomorphic, automorphisms
 
 from conftest import (
     all_reduced_latin_squares,
+    oracle_closure,
     oracle_game_subsets,
     oracle_group_automorphisms,
     oracle_group_game,
@@ -141,6 +143,10 @@ class TestConstructors:
     def test_semidirect_bad_action(self):
         with pytest.raises(BadAction):
             semidirect_cyclic(3, 7, 3)  # 3^3 = 27 = 6 mod 7
+
+    def test_semidirect_on_the_trivial_group(self):
+        # a^q = 1 mod 1 holds for every a: Z_3 acting on Z_1 is Z_3
+        assert semidirect_cyclic(3, 1, 1).table == cyclic_group(3).table
 
     def test_group_text_round_trip(self):
         G = semidirect_cyclic(3, 7, 2)
@@ -515,6 +521,48 @@ class TestHInvariantSubsets:
     def test_trivial_subgroup_gives_all(self):
         H = [Permutation.identity(7)]
         assert len(h_invariant_subsets(cyclic_group(7), H)) == 8
+
+    @pytest.mark.parametrize("units, count", [
+        ((1, 2), 2), ((2,), 2), ((1, 2, 2), 2), ((4, 2), 2), ((1, 1), 8), ((), 8),
+    ])
+    def test_a_list_stands_for_the_group_it_generates(self, units, count):
+        # x -> 2x generates {1, 2, 4}: repeats and a missing identity change nothing
+        H = [multiplication_map(7, a) for a in units]
+        assert len(h_invariant_subsets(cyclic_group(7), H)) == count
+
+    def test_even_closure_is_refused_before_any_block(self, monkeypatch):
+        monkeypatch.setattr(groups, "_block_subsets", None)  # building blocks would fail
+        with pytest.raises(EvenOrderSubgroup, match="order 2"):
+            h_invariant_subsets(cyclic_group(7), [multiplication_map(7, 6)])
+        with pytest.raises(EvenOrderSubgroup, match="order 6"):
+            h_invariant_subsets(cyclic_group(7), [multiplication_map(7, 2), multiplication_map(7, 6)])
+
+    def test_closure_budget(self, monkeypatch):
+        # the budget counts elements x order: x -> 2x on Z7 closes to 3 maps, 21
+        H = [multiplication_map(7, 2)]
+        monkeypatch.setattr(groups, "_AUT_WORK", 20)
+        with pytest.raises(TooLarge):
+            h_invariant_subsets(cyclic_group(7), H)
+        monkeypatch.setattr(groups, "_AUT_WORK", 21)
+        assert len(h_invariant_subsets(cyclic_group(7), H)) == 2
+
+    @pytest.mark.parametrize("name", _ORACLE_GROUPS)
+    def test_lists_against_a_brute_force_closure(self, name):
+        G = _ORACLE_GROUPS[name]
+        auts = list(group_automorphisms(G))
+        rng = random.Random(7)
+        lists = [[]] + [[a] for a in auts] + [rng.choices(auts, k=rng.randint(2, 3)) for _ in range(40)]
+        for H in lists:
+            closure = oracle_closure(G.m, [xi.image for xi in H])
+            if len(closure) % 2 == 0:
+                with pytest.raises(EvenOrderSubgroup):
+                    h_invariant_subsets(G, H)
+                continue
+
+            def invariant(A, closure=closure):
+                return all(frozenset(xi[e] for e in A) == A for xi in closure)
+
+            assert [A.mask for A in h_invariant_subsets(G, H)] == oracle_game_subsets(G, invariant)
 
 
 class TestQuadraticResidues:

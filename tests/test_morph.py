@@ -23,11 +23,12 @@ from gamegraphs.core import (
     scores,
 )
 from gamegraphs.construct import double, generalized_lex, lex_product, reduce_via
-from gamegraphs.errors import BadSize, NotSurjective, SizeMismatch, WrongGroup
+from gamegraphs.errors import BadSize, NotSurjective, SizeMismatch, TooLarge, WrongGroup
 from gamegraphs.groups import GameSubset, cyclic_group, group_game, quadratic_residue_subset
 from gamegraphs.morph import (
     _bits_under,
     _canon_search,
+    _closure,
     _refine,
     are_isomorphic,
     automorphisms,
@@ -48,6 +49,7 @@ from conftest import (
     oracle_canon_search,
     oracle_canon_tree,
     oracle_classify7,
+    oracle_closure,
     oracle_is_morphism,
     oracle_iso,
     oracle_refine,
@@ -379,6 +381,20 @@ class TestIsomorphismPath:
         graphs += [from_rows(0, []), from_rows(1, [0]), from_rows(2, [0b10, 0]), from_rows(2, [0, 0])]
         for g in graphs:
             assert [a.image for a in automorphisms(g)] == oracle_aut_closure(g)
+
+    def test_closure_of_random_lists(self):
+        # seeded lists of random permutations, repeats and the identity
+        # included; a limit refuses exactly the groups larger than it
+        rng = random.Random(5)
+        for _ in range(60):
+            p = rng.randint(1, 6)
+            gens = [tuple(rng.sample(range(p), p)) for _ in range(rng.randint(0, 3))]
+            gens += rng.sample(gens, min(len(gens), 1)) + [tuple(range(p))] * rng.randint(0, 1)
+            want = oracle_closure(p, gens)
+            assert _closure(p, gens) == want == _closure(p, gens, len(want))
+            if len(want) > 1:  # the identity alone is never refused
+                with pytest.raises(TooLarge):
+                    _closure(p, gens, len(want) - 1)
 
 
 class TestRigidity:

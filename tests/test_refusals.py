@@ -63,6 +63,7 @@ FOREIGN9 = GameSubset(direct_product(Z3, Z3), [1, 3, 4, 7])
 ID7 = Permutation.identity(7)
 SHIFT7 = Permutation([(i + 1) % 7 for i in range(7)])
 SWAP7 = Permutation([1, 0, 2, 3, 4, 5, 6])
+NEG7 = Permutation([-i % 7 for i in range(7)])
 # J = {0, 1}, K = {2, 3}: every cross pair joined J -> K, and the same
 # with the pair 1, 3 left undecided
 BIPARTITE = Digraph(4, [0b1100, 0b1100, 0, 0])
@@ -107,7 +108,7 @@ REFUSALS = [
     ("semidirect on Z_0", lambda: semidirect_cyclic(3, 0, 1), BadAction, "Z_0"),
     ("phi past the factoring budget", lambda: euler_phi(2 ** 40 + 1), TooLarge, "factoring budget"),
     ("fermat past the factoring budget", lambda: is_fermat_square_free(2 ** 40 + 1), TooLarge, "factoring budget"),
-    ("invariant even subgroup", lambda: h_invariant_subsets(Z7, [ID7, ID7]), EvenOrderSubgroup, "odd order"),
+    ("invariant even subgroup", lambda: h_invariant_subsets(Z7, [NEG7]), EvenOrderSubgroup, "odd order"),
     ("invariant non-automorphism", lambda: h_invariant_subsets(Z7, [SWAP7]), NotSubgroup, "non-automorphism"),
     ("pair subsets even group", lambda: pair_game_subsets(cyclic_group(4), [0]), EvenOrder, "group order"),
     # reversal

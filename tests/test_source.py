@@ -9,7 +9,8 @@ Every name a module imports is used in it, apart from the re-exports of
 __init__.py and `from __future__ import annotations`.  Every module it imports
 comes from the standard library, the package itself or a dependency that
 pyproject.toml declares, so an import of a package that merely happens to be
-installed fails here and not on another machine."""
+installed fails here and not on another machine.  The same holds for the
+test files, which may also import conftest and the `test` extra."""
 
 import ast
 import re
@@ -20,6 +21,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "gamegraphs"
+TESTS = ROOT / "tests"
 MODULES = sorted(PACKAGE.glob("*.py"))
 ERRORS = {node.name for node in ast.parse((PACKAGE / "errors.py").read_text()).body if isinstance(node, ast.ClassDef)}
 
@@ -71,15 +73,18 @@ def test_every_error_class_is_raised():
     assert sorted(ERRORS - raised - {"DomainError"}) == []
 
 
-def _declared_dependencies() -> set:
+def _declared_dependencies(*extras: str) -> set:
     tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
-    return {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower().replace("-", "_") for dep in project["dependencies"]}
+    deps = project["dependencies"] + [dep for extra in extras for dep in project["optional-dependencies"][extra]]
+    return {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower().replace("-", "_") for dep in deps}
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+@pytest.mark.parametrize("path", MODULES + sorted(TESTS.glob("*.py")), ids=lambda path: path.name)
 def test_imports_are_declared(path):
     allowed = set(sys.stdlib_module_names) | {PACKAGE.name} | _declared_dependencies()
+    if path.parent == TESTS:
+        allowed |= {"conftest"} | _declared_dependencies("test")
     tree = ast.parse(path.read_text(), str(path))
     tops = {
         (alias.name if isinstance(node, ast.Import) else node.module).split(".")[0]: node.lineno
