@@ -273,8 +273,8 @@ def _atlas_report(args) -> str:
     rep = atlas.count_report(args.n)
     if rep.literature_agrees is False:
         sys.stderr.write(
-            "DISCREPANCY: enumerated counts disagree with the literature values; "
-            "the enumerated values are oracle-backed\n"
+            "DISCREPANCY: the counts disagree with the literature values; both "
+            "come from the labeled-count DP, which the tests check against enumeration\n"
         )
     payload = asdict(rep)
     num, den = payload.pop("is_lower_bound_num"), payload.pop("is_lower_bound_den")

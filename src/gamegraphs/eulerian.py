@@ -152,31 +152,50 @@ def _all_cycles(rows: Sequence[int], max_cycles: int, max_len: int) -> list[tupl
     edge mask), sorted; BudgetExceeded once there are more than max_cycles.
 
     Each cycle is rooted at its least vertex and listed once: a walk only
-    enters the free vertices, those above its root and off its path.
+    enters the free vertices, those above its root and off its path.  A walk
+    lists the cycles its next step closes (the step enters `into`, the
+    root's in-neighbours), and a step to the last length closes or stops, so
+    it is listed without a call.  Roots ascend and every walk tries the
+    least successor first, so each length's cycles come out in vertex-tuple
+    order and the lengths need only be put one after another.
     """
     bit = _edge_bits(rows)
-    cycles: list[tuple[int, tuple[int, ...], int]] = []
+    by_length: list[list[tuple[int, tuple[int, ...], int]]] = [[] for _ in range(max_len + 1)]
+    count = 0
 
-    def dfs(start: int, v: int, free: int, path: tuple[int, ...], mask: int) -> None:
-        if (rows[v] >> start) & 1 and len(path) >= 3:
-            cycles.append((len(path), path, mask | bit[v][start]))
-            if len(cycles) > max_cycles:
-                raise BudgetExceeded(f"more than {max_cycles} cycles")
-        if len(path) < max_len:
-            for w in _bits(rows[v] & free):
-                dfs(start, w, free ^ (1 << w), (*path, w), mask | bit[v][w])
+    def dfs(start: int, into: int, v: int, free: int, path: tuple[int, ...], mask: int) -> None:
+        nonlocal count
+        k = len(path) + 1
+        m = rows[v] & free
+        if k == max_len:
+            m &= into
+        while m:
+            b = m & -m
+            m ^= b
+            w = b.bit_length() - 1
+            step = mask | bit[v][w]
+            if b & into and k >= 3:
+                by_length[k].append((k, (*path, w), step | bit[w][start]))
+                count += 1
+                if count > max_cycles:
+                    raise BudgetExceeded(f"more than {max_cycles} cycles")
+            if k < max_len:
+                dfs(start, into, w, free ^ b, (*path, w), step)
 
     for s in range(len(rows)):
-        dfs(s, s, -(2 << s), (s,), 0)
-    cycles.sort(key=lambda t: (t[0], t[1]))
-    return cycles
+        into = sum(1 << u for u, r in enumerate(rows) if (r >> s) & 1)
+        dfs(s, into, s, -(2 << s), (s,), 0)
+    return list(chain.from_iterable(by_length))
 
 
 # the feedback order is an exact minimum up to this many vertices with
 # edges; above it any order still bounds the span.  In pure Python the
 # 2^k subset DP costs about 2 ms at 11 vertices (the span11 games) but
 # 0.1-0.2 s at 16, where the search on sparse Eulerian digraphs takes
-# well under 5 ms without it.
+# well under 5 ms without it.  `span` runs the DP only when
+# `_tight_order` cannot certify the greedy and the greedy is two or more
+# below edges/3.  That search has the same 2^k states at most, but on the
+# span11 games it visits at most 50 to find an order and 309 to refute one.
 _EXACT_ORDER = 11
 
 
@@ -219,20 +238,81 @@ def _feedback_order(d: Digraph) -> tuple[list[int], int]:
     return order, cost[full]
 
 
+def _tight_order(d: Digraph, cycles: Sequence[Sequence[int]]) -> Optional[list[int]]:
+    """An order of the vertices with edges in which each of the given
+    edge-disjoint cycles covering d has exactly one backward edge, or None
+    when there is none.
+
+    Every cycle has a backward edge, so such an order exists iff the least
+    tau of `_feedback_order` equals the number of cycles.  Vertices are
+    placed front to back, and v may follow the placed set S iff every cycle
+    through v that meets S enters v from S.  A cycle's one backward edge
+    enters its first placed vertex, so the cycles that already have it are
+    the ones that meet S: S alone is the state, and the depth-first search
+    keeps the sets it found dead (at most 2^k sets, k tries each).  With the
+    cycles' edges numbered, the edges of the cycles that meet S are
+    `started` and the edges leaving S `forward`: v may follow S iff none of
+    its in-edges is started but not forward.
+    """
+    verts = [v for v in range(d.p) if d.rows[v]]
+    ins, outs, through = [0] * d.p, [0] * d.p, [0] * d.p
+    k = 0
+    for cyc in cycles:
+        first = k
+        for x, v in zip((cyc[-1], *cyc), cyc):
+            ins[v] |= 1 << k
+            outs[x] |= 1 << k
+            k += 1
+        for v in cyc:
+            through[v] |= (1 << k) - (1 << first)
+    full = sum(1 << v for v in verts)
+    dead: set[int] = set()
+    order: list[int] = []
+
+    def place(s: int, started: int, forward: int) -> bool:
+        if s == full:
+            return True
+        waiting = started & ~forward
+        for v in verts:
+            t = s | (1 << v)
+            if t == s or ins[v] & waiting or t in dead:
+                continue
+            order.append(v)
+            if place(t, started | through[v], forward | outs[v]):
+                return True
+            order.pop()
+        dead.add(s)
+        return False
+
+    return order if place(0, 0, 0) else None
+
+
 def span(d: Digraph, node_budget: int = 50_000_000, cycle_budget: int = 2_000_000) -> DecompReport:
     """Exact maximum decomposition by branch and bound.
 
     The search starts from the 3-cycle-first greedy decomposition of
     `span_lower_bound`, whose size lb is a lower bound on the span.  Two
     upper bounds close it: floor(edges/3), and tau, the number of edges that
-    run backward in the vertex order of `_feedback_order`, since every cycle
-    uses a backward edge.  When lb meets min(floor(edges/3), tau), the
-    greedy decomposition is certified maximum at the root, before any cycle
-    is listed; the order is checked to be a permutation of the vertices
-    with edges and to have exactly tau backward edges, else
-    InvariantViolation.  (On C_p for p = 11, 13, 15 the greedy reaches
-    n(n+1)/2, the tau of the natural order, so the root certifies
-    beta = n^2.)
+    run backward in a vertex order, since every cycle uses a backward edge.
+    When lb meets floor(edges/3) the greedy is returned at once.  Otherwise,
+    up to _EXACT_ORDER vertices with edges, the root takes one of three
+    paths:
+
+    - `_tight_order` finds an order in which each greedy cycle has one
+      backward edge: tau = lb certifies the greedy.
+    - It finds none, so the least tau is above lb, and lb + 1 meets
+      floor(edges/3): no order's tau cuts below floor(edges/3), and the
+      search branches with the identity order's backward edges.
+    - It finds none and lb + 1 < floor(edges/3): the order and tau are
+      `_feedback_order`'s least ones.
+
+    Above _EXACT_ORDER the order is `_feedback_order`'s identity.  Whichever
+    order it is, it is checked to be a permutation of the vertices with
+    edges and to have exactly tau backward edges, else InvariantViolation,
+    and when lb meets tau the greedy decomposition is certified maximum at
+    the root, before any cycle is listed.  (On C_p for p = 11, 13, 15 the
+    greedy reaches n(n+1)/2, the tau of the natural order, so the root
+    certifies beta = n^2.)
 
     Otherwise only cycles of length at most max(3, edges - 3*lb) are listed
     (cycle_budget caps how many): a decomposition into k >= lb + 1 cycles
@@ -264,8 +344,16 @@ def span(d: Digraph, node_budget: int = 50_000_000, cycle_budget: int = 2_000_00
         raise BudgetExceeded(f"span search exceeded {node_budget} nodes")
     if ne // 3 <= best:
         return _checked_report(d, best, lower.witness)
-    order, tau = _feedback_order(d)
-    if sorted(order) != [v for v in range(d.p) if d.rows[v]]:
+    verts = [v for v in range(d.p) if d.rows[v]]
+    order: Optional[list[int]] = None
+    if len(verts) <= _EXACT_ORDER:
+        order, tau = _tight_order(d, lower.witness), best
+        if order is None and best + 1 >= ne // 3:
+            # tau_min > best, so no order cuts below floor(edges/3): skip the DP
+            order, tau = verts, sum((d.rows[v] & ((1 << v) - 1)).bit_count() for v in verts)
+    if order is None:
+        order, tau = _feedback_order(d)
+    if sorted(order) != verts:
         raise InvariantViolation("feedback order is not a permutation of the vertices with edges")
     bit = _edge_bits(d.rows)
     back = placed = 0

@@ -37,6 +37,7 @@ from gamegraphs.eulerian import (
     _all_cycles,
     _feedback_order,
     _simple_path,
+    _tight_order,
     count_eulerian_subgraphs,
     cycle_decomposition,
     cycle_edges,
@@ -81,6 +82,11 @@ from conftest import (
 # cycles and the search must beat it.
 SPAN17_GREEDY_MAX = (1222, 124, 248, 433, 481, 1857, 1928, 1826, 1543, 31, 542)
 SPAN17_GREEDY_16 = (186, 124, 121, 1488, 1504, 968, 1921, 1798, 1543, 31, 551)
+# A size-11 game of span 18 = floor(55 / 3) whose greedy finds 17 cycles: no
+# order has only 17 backward edges, and 17 + 1 meets floor(55 / 3).
+SPAN18_GREEDY_17 = (1682, 1828, 457, 1107, 902, 157, 307, 1354, 1577, 236, 628)
+# The gap class: span 17, below 18 = min(floor(55 / 3), tau_min); greedy 16.
+GAP_CLASS = (1202, 124, 569, 817, 992, 1984, 397, 1294, 1543, 1219, 94)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 SPAN11_POOL = Path(__file__).resolve().parent.parent / "perfbench" / "span11_pool.json"
@@ -123,7 +129,8 @@ def plan_any_deltas_at_9():
 # search's witness is broken by listing every cycle backwards (the masks,
 # and so the search, are unchanged), the greedy one by dropping a cycle;
 # the feedback order by naming a vertex twice, its claimed tau by one more
-# than the order's backward edges.
+# than the order's backward edges; the tight order on C9 by naming a vertex
+# twice, and by running backwards (26 backward edges, not the claimed 10).
 _BROKEN_WITNESS = """
 import dataclasses
 from unittest import mock
@@ -135,6 +142,7 @@ from gamegraphs.errors import InvariantViolation
 if __debug__:
     raise SystemExit("asserts are live")
 all_cycles, lower_bound, feedback_order = eulerian._all_cycles, eulerian.span_lower_bound, eulerian._feedback_order
+tight_order = eulerian._tight_order
 
 
 def backwards(*args):
@@ -156,12 +164,23 @@ def overclaimed(d):
     return order, tau + 1
 
 
+def tight_repeated(d, cycles):
+    order = tight_order(d, cycles)
+    return order[:-1] + order[:1]
+
+
+def tight_reversed(d, cycles):
+    return tight_order(d, cycles)[::-1]
+
+
 ring = EdgeSet(9, [(i, (i + 1) % 9) for i in range(9)] + [(6, 3), (3, 0), (0, 6)])
 cases = [
     ("search", mock.patch.object(eulerian, "_all_cycles", backwards), ring),
     ("greedy", mock.patch.object(eulerian, "span_lower_bound", short), circulant(7, (1, 2, 3))),
     ("order", mock.patch.object(eulerian, "_feedback_order", repeated), ring),
     ("tau", mock.patch.object(eulerian, "_feedback_order", overclaimed), ring),
+    ("tight_repeated", mock.patch.object(eulerian, "_tight_order", tight_repeated), circulant(9, (1, 2, 3, 4))),
+    ("tight_reversed", mock.patch.object(eulerian, "_tight_order", tight_reversed), circulant(9, (1, 2, 3, 4))),
 ]
 for name, patch, d in cases:
     with patch:
@@ -513,7 +532,7 @@ class TestSpan:
             env=env, capture_output=True, text=True, timeout=60,
         )
         assert out.returncode == 0, out.stderr
-        assert out.stdout.split() == ["search", "greedy", "order", "tau"]
+        assert out.stdout.split() == ["search", "greedy", "order", "tau", "tight_repeated", "tight_reversed"]
 
     def test_cycle_budget_counts_the_capped_list(self):
         # greedy 16 caps cycle length at 55 - 48 = 7: 5732 cycles are listed,
@@ -522,6 +541,110 @@ class TestSpan:
         with pytest.raises(BudgetExceeded):
             span(d, cycle_budget=5000)
         assert span(d, cycle_budget=6000).span == 17
+
+
+def _backward(d, order):
+    """The edges of d that run backward in order."""
+    pos = {v: i for i, v in enumerate(order)}
+    return sum(pos[u] > pos[v] for (u, v) in d.edges())
+
+
+def _walk_games(p, count, rng):
+    """Games up to 3p uniform 3-cycle flips from the cyclic game C_p."""
+    games = []
+    for _ in range(count):
+        g = circulant(p, range(1, (p + 1) // 2))
+        for _ in range(rng.randint(1, 3 * p)):
+            tris = three_cycles(g)
+            g = apply_plan(g, ReversalPlan((tris[rng.randrange(len(tris))],)))
+        games.append(g)
+    return games
+
+
+class TestTightOrder:
+    """The order search from the greedy's own cycles: an order in which
+    every cycle of the partition has one backward edge exists iff the least
+    tau equals the number of cycles."""
+
+    @staticmethod
+    def check(d, cycles):
+        order = _tight_order(d, cycles)
+        if order is not None:
+            assert sorted(order) == [v for v in range(d.p) if d.rows[v]]
+            for cyc in cycles:
+                pos = [order.index(v) for v in cyc]
+                assert sum(a > b for a, b in zip(pos, pos[1:] + pos[:1])) == 1
+        return order
+
+    def test_found_iff_the_least_tau_meets_the_greedy(self):
+        rng = random.Random(29)
+        graphs = [random_eulerian_edgeset(p, rng, rng.randint(3, 30)) for p in range(5, 10) for _ in range(16)]
+        graphs += [g for p in (5, 7, 9) for g in _walk_games(p, 12, rng)]
+        c11 = circulant(11, range(1, 6))
+        graphs += [disjoint_walk(c11, steps, random.Random(seed)) for steps in (1, 2, 3, 4, 5) for seed in (0, 1, 2)]
+        graphs += [from_rows(11, rows) for rows in (SPAN17_GREEDY_MAX, SPAN17_GREEDY_16, SPAN18_GREEDY_17)]
+        outcomes = Counter()
+        for d in graphs:
+            if not d.edge_count():
+                continue
+            greedy = span_lower_bound(d)
+            order = self.check(d, greedy.witness)
+            _, tau_min = _feedback_order(d)
+            assert (order is not None) == (tau_min == greedy.span)
+            if order is not None:
+                assert _backward(d, order) == greedy.span
+            outcomes[order is not None] += 1
+        assert outcomes[True] >= 10 and outcomes[False] >= 10
+
+    def test_against_every_permutation(self):
+        # the greedy's cycles and the plain peel's, against every order
+        rng = random.Random(31)
+        graphs = [random_eulerian_edgeset(p, rng, rng.randint(2, 12)) for p in (4, 5, 6, 7) for _ in range(6)]
+        graphs += _walk_games(5, 4, rng) + _walk_games(7, 8, rng)
+        outcomes = Counter()
+        for d in graphs:
+            if not d.edge_count():
+                continue
+            orders = [{v: i for i, v in enumerate(perm)} for perm in permutations(v for v in range(d.p) if d.rows[v])]
+            for cycles in (span_lower_bound(d).witness, cycle_decomposition(d)):
+                exists = any(
+                    all(sum(pos[a] > pos[b] for a, b in cycle_edges(c)) == 1 for c in cycles) for pos in orders
+                )
+                assert (self.check(d, cycles) is not None) == exists
+                outcomes[exists] += 1
+        assert outcomes[True] >= 20 and outcomes[False] >= 5
+
+    @pytest.mark.parametrize("d, found", [
+        (circulant(9, (1, 2, 3, 4)), True),
+        (from_rows(11, SPAN17_GREEDY_MAX), True),
+        (from_rows(11, SPAN17_GREEDY_16), False),
+        (from_rows(11, GAP_CLASS), False),
+    ], ids=["C9", "SPAN17_GREEDY_MAX", "SPAN17_GREEDY_16", "GAP_CLASS"])
+    def test_pinned_games(self, d, found):
+        greedy = span_lower_bound(d)
+        assert (self.check(d, greedy.witness) is not None) == found
+
+    def test_gap_class_greedy_and_span(self):
+        d = from_rows(11, GAP_CLASS)
+        assert span_lower_bound(d).span == 16
+        assert _feedback_order(d)[1] == 18
+        assert span(d).span == 17
+
+    def test_span_runs_no_dp_when_the_greedy_is_certified_or_one_short(self, monkeypatch):
+        # found: the tight order certifies the greedy; refuted with
+        # greedy + 1 = floor(edges / 3): the search branches on the identity
+        # order, and the report is the plain search's
+        games = [circulant(9, (1, 2, 3, 4)), from_rows(11, SPAN17_GREEDY_MAX), from_rows(11, SPAN18_GREEDY_17)]
+        want = [span(d) for d in games]
+        assert [rep.span for rep in want] == [10, 17, 18]
+        assert span_lower_bound(games[2]).span == 17 and games[2].edge_count() // 3 == 18
+
+        def no_dp(d):
+            raise RuntimeError("the feedback-order DP ran")
+
+        monkeypatch.setattr(eulerian, "_feedback_order", no_dp)
+        assert [span(d) for d in games] == want
+        assert want[2] == oracle_span_search(games[2])
 
 
 class TestStrongComponents:
