@@ -189,102 +189,89 @@ def _all_cycles(rows: Sequence[int], max_cycles: int, max_len: int) -> list[tupl
 
 
 # the feedback order is an exact minimum up to this many vertices with
-# edges; above it any order still bounds the span.  In pure Python the
-# 2^k subset DP costs about 2 ms at 11 vertices (the span11 games) but
-# 0.1-0.2 s at 16, where the search on sparse Eulerian digraphs takes
-# well under 5 ms without it.  `span` runs the DP only when
-# `_tight_order` cannot certify the greedy and the greedy is two or more
-# below edges/3.  That search has the same 2^k states at most, but on the
-# span11 games it visits at most 50 to find an order and 309 to refute one.
+# edges; above it any order still bounds the span.  `_feedback_order`
+# visits at most 2^n placed sets per pass: on the span11 games (one to
+# three passes) it takes 0.24 ms on average and 1.5 ms at most on a 2-core
+# VM with Python 3.11, where a DP over all 2^11 sets took about 2 ms.  At
+# 16 vertices that DP took 0.1-0.2 s, and the search's worst case grows as
+# fast, while the span search on sparse Eulerian digraphs takes well under
+# 5 ms.
 _EXACT_ORDER = 11
 
 
-def _feedback_order(d: Digraph) -> tuple[list[int], int]:
+def _feedback_order(d: Digraph, cycles: Sequence[Sequence[int]]) -> tuple[list[int], int]:
     """A vertex order of the vertices with edges and tau, the number of
-    edges that run backward in it.
+    edges that run backward in it; `cycles` are edge-disjoint cycles that
+    cover d.
 
     Every cycle leaves some vertex for an earlier one, so the backward
     edges form a feedback arc set and no set of edge-disjoint cycles among
-    some edges is larger than the backward edges among them.  Up to
-    _EXACT_ORDER vertices the order minimises tau by a DP over the placed
-    set S (placing v after S costs popcount(rows[v] & S), ties to the least
-    v); above it the order is the identity.
+    some edges is larger than the backward edges among them: tau bounds
+    the span, and tau >= len(cycles).  Above _EXACT_ORDER vertices the order
+    is the identity.  Up to it the order has the least tau, found from the
+    cycles as follows.
+
+    Vertices are placed back to front: placing v last among the unplaced
+    set R makes its out-edges into R - {v} backward.  Each cycle that meets
+    the placed vertices has one backward edge already: the out-edge of its
+    first placed vertex.  So placing v adds to extra = backward edges -
+    cycles met exactly its out-edges into R - {v} on cycles met before v
+    (each cycle newly met at v has one out-edge of v, its own), and extra
+    never decreases.  Once all are placed, extra = tau - len(cycles).  With
+    the cycles' edges numbered, `started` holds the edges of the cycles met
+    and `into` the edges into placed vertices, so v adds the popcount of its
+    out-edges in started but not in into.
+
+    Pass k = 0, 1, 2, ... is a depth-first search that tries v in ascending
+    order and skips a child whose extra would exceed k; the first pass that
+    completes has k = tau_min - len(cycles), and the pass at the identity's
+    tau completes at the latest.  What is left to add from R depends on R
+    alone, so a set that failed at extra e needs at least k - e + 1 more,
+    in this pass and every later one.  In the completing pass every vertex
+    taken is the least one that some order of least tau places there, which
+    is the tie-break of the subset DP over placed sets
+    (`oracle_feedback_order` in the tests), so the order is exactly the
+    DP's.  The worst case is tau_min - len(cycles) + 1 passes of at most 2^n
+    sets each, for n vertices with edges, n tries per set.
     """
     verts = [v for v in range(d.p) if d.rows[v]]
     if len(verts) > _EXACT_ORDER:
         return verts, sum((d.rows[v] & ((1 << v) - 1)).bit_count() for v in verts)
-    local = {v: i for i, v in enumerate(verts)}
-    rows = [sum(1 << local[w] for w in _bits(d.rows[v])) for v in verts]
-    full = (1 << len(verts)) - 1
-    cost = [0] * (full + 1)
-    last = [0] * (full + 1)
-    worst = sum(r.bit_count() for r in rows)
-    for s in range(1, full + 1):
-        best_c, best_v, m = worst + 1, 0, s
-        while m:
-            b = m & -m
-            v = b.bit_length() - 1
-            c = cost[s ^ b] + (rows[v] & s).bit_count()
-            if c < best_c:
-                best_c, best_v = c, v
-            m ^= b
-        cost[s], last[s] = best_c, best_v
-    order: list[int] = []
-    s = full
-    while s:
-        order.append(verts[last[s]])
-        s ^= 1 << last[s]
-    order.reverse()
-    return order, cost[full]
-
-
-def _tight_order(d: Digraph, cycles: Sequence[Sequence[int]]) -> Optional[list[int]]:
-    """An order of the vertices with edges in which each of the given
-    edge-disjoint cycles covering d has exactly one backward edge, or None
-    when there is none.
-
-    Every cycle has a backward edge, so such an order exists iff the least
-    tau of `_feedback_order` equals the number of cycles.  Vertices are
-    placed front to back, and v may follow the placed set S iff every cycle
-    through v that meets S enters v from S.  A cycle's one backward edge
-    enters its first placed vertex, so the cycles that already have it are
-    the ones that meet S: S alone is the state, and the depth-first search
-    keeps the sets it found dead (at most 2^k sets, k tries each).  With the
-    cycles' edges numbered, the edges of the cycles that meet S are
-    `started` and the edges leaving S `forward`: v may follow S iff none of
-    its in-edges is started but not forward.
-    """
-    verts = [v for v in range(d.p) if d.rows[v]]
     ins, outs, through = [0] * d.p, [0] * d.p, [0] * d.p
-    k = 0
+    i = 0
     for cyc in cycles:
-        first = k
+        first = i
         for x, v in zip((cyc[-1], *cyc), cyc):
-            ins[v] |= 1 << k
-            outs[x] |= 1 << k
-            k += 1
+            ins[v] |= 1 << i
+            outs[x] |= 1 << i
+            i += 1
         for v in cyc:
-            through[v] |= (1 << k) - (1 << first)
-    full = sum(1 << v for v in verts)
-    dead: set[int] = set()
+            through[v] |= (1 << i) - (1 << first)
+    table = [(v, 1 << v, outs[v], ins[v], through[v]) for v in verts]
+    need: dict[int, int] = {}
     order: list[int] = []
 
-    def place(s: int, started: int, forward: int) -> bool:
-        if s == full:
-            return True
-        waiting = started & ~forward
-        for v in verts:
-            t = s | (1 << v)
-            if t == s or ins[v] & waiting or t in dead:
+    def place(r: int, started: int, into: int, extra: int) -> bool:
+        waiting = started & ~into
+        for v, b, out, inn, thr in table:
+            if not r & b:
+                continue
+            e = extra + (out & waiting).bit_count()
+            rest = r ^ b
+            if e > k or e + need.get(rest, 0) > k:
                 continue
             order.append(v)
-            if place(t, started | through[v], forward | outs[v]):
+            if not rest or place(rest, started | thr, into | inn, e):
                 return True
             order.pop()
-        dead.add(s)
+        need[r] = k - extra + 1
         return False
 
-    return order if place(0, 0, 0) else None
+    k = 0
+    while not place(sum(1 << v for v in verts), 0, 0, 0):
+        k += 1
+    order.reverse()
+    return order, len(cycles) + k
 
 
 def span(d: Digraph, node_budget: int = 50_000_000, cycle_budget: int = 2_000_000) -> DecompReport:
@@ -294,25 +281,15 @@ def span(d: Digraph, node_budget: int = 50_000_000, cycle_budget: int = 2_000_00
     `span_lower_bound`, whose size lb is a lower bound on the span.  Two
     upper bounds close it: floor(edges/3), and tau, the number of edges that
     run backward in a vertex order, since every cycle uses a backward edge.
-    When lb meets floor(edges/3) the greedy is returned at once.  Otherwise,
-    up to _EXACT_ORDER vertices with edges, the root takes one of three
-    paths:
-
-    - `_tight_order` finds an order in which each greedy cycle has one
-      backward edge: tau = lb certifies the greedy.
-    - It finds none, so the least tau is above lb, and lb + 1 meets
-      floor(edges/3): no order's tau cuts below floor(edges/3), and the
-      search branches with the identity order's backward edges.
-    - It finds none and lb + 1 < floor(edges/3): the order and tau are
-      `_feedback_order`'s least ones.
-
-    Above _EXACT_ORDER the order is `_feedback_order`'s identity.  Whichever
-    order it is, it is checked to be a permutation of the vertices with
-    edges and to have exactly tau backward edges, else InvariantViolation,
-    and when lb meets tau the greedy decomposition is certified maximum at
-    the root, before any cycle is listed.  (On C_p for p = 11, 13, 15 the
-    greedy reaches n(n+1)/2, the tau of the natural order, so the root
-    certifies beta = n^2.)
+    When lb meets floor(edges/3) the greedy is returned at once.  Otherwise
+    `_feedback_order` takes the order from the greedy's own cycles: up to
+    _EXACT_ORDER vertices with edges one of least tau, above it the
+    identity.  The order is checked to be a permutation of the vertices
+    with edges and to have exactly tau backward edges, else
+    InvariantViolation, and when lb meets tau the greedy decomposition is
+    certified maximum at the root, before any cycle is listed.  (On C_p for
+    p = 11, 13, 15 the greedy reaches n(n+1)/2, the tau of the natural
+    order, so the root certifies beta = n^2.)
 
     Otherwise only cycles of length at most max(3, edges - 3*lb) are listed
     (cycle_budget caps how many): a decomposition into k >= lb + 1 cycles
@@ -344,16 +321,8 @@ def span(d: Digraph, node_budget: int = 50_000_000, cycle_budget: int = 2_000_00
         raise BudgetExceeded(f"span search exceeded {node_budget} nodes")
     if ne // 3 <= best:
         return _checked_report(d, best, lower.witness)
-    verts = [v for v in range(d.p) if d.rows[v]]
-    order: Optional[list[int]] = None
-    if len(verts) <= _EXACT_ORDER:
-        order, tau = _tight_order(d, lower.witness), best
-        if order is None and best + 1 >= ne // 3:
-            # tau_min > best, so no order cuts below floor(edges/3): skip the DP
-            order, tau = verts, sum((d.rows[v] & ((1 << v) - 1)).bit_count() for v in verts)
-    if order is None:
-        order, tau = _feedback_order(d)
-    if sorted(order) != verts:
+    order, tau = _feedback_order(d, lower.witness)
+    if sorted(order) != [v for v in range(d.p) if d.rows[v]]:
         raise InvariantViolation("feedback order is not a permutation of the vertices with edges")
     bit = _edge_bits(d.rows)
     back = placed = 0

@@ -5,7 +5,8 @@ exhaustive decomposition enumeration, isomorphism by raw permutation search,
 Eulerian-subgraph counts by direct subset enumeration.  Some keep the
 methods the library replaced: the census by canonicalizing every labeled
 game, the meet-in-the-middle Eulerian-subgraph count, the parity split by
-enumeration, and the difference graph and subgraph reversal edge by edge.
+enumeration, the least-tau vertex order by a DP over every placed set, and
+the difference graph and subgraph reversal edge by edge.
 Game-subset families come from a scan of every mask, and the greedy cycle
 peel, the 3-cycle-first greedy and the Euler trail run on edge sets with
 successor lists and a union-find.  Others keep the plain forms of searches
@@ -394,6 +395,37 @@ def oracle_span_search(d) -> DecompReport:
     else:
         witness = tuple(normalize_cycle(cycles[ci][1]) for ci in best_stack)
     return DecompReport(ne, best, ne - 2 * best, witness)
+
+
+def oracle_feedback_order(d) -> tuple:
+    """The least-tau vertex order by the subset DP over the placed set S:
+    placing v after S costs popcount(rows[v] & S), ties to the least v.
+    The order of the vertices with edges and its tau, as `span`'s order
+    search returns them up to 11 vertices with edges."""
+    verts = [v for v in range(d.p) if d.rows[v]]
+    local = {v: i for i, v in enumerate(verts)}
+    rows = [sum(1 << local[w] for w in range(d.p) if (d.rows[v] >> w) & 1) for v in verts]
+    full = (1 << len(verts)) - 1
+    cost = [0] * (full + 1)
+    last = [0] * (full + 1)
+    worst = sum(r.bit_count() for r in rows)
+    for s in range(1, full + 1):
+        best_c, best_v, m = worst + 1, 0, s
+        while m:
+            b = m & -m
+            v = b.bit_length() - 1
+            c = cost[s ^ b] + (rows[v] & s).bit_count()
+            if c < best_c:
+                best_c, best_v = c, v
+            m ^= b
+        cost[s], last[s] = best_c, best_v
+    order = []
+    s = full
+    while s:
+        order.append(verts[last[s]])
+        s ^= 1 << last[s]
+    order.reverse()
+    return order, cost[full]
 
 
 def oracle_delta(rho, pi: Digraph, gamma: Digraph) -> EdgeSet:

@@ -37,7 +37,6 @@ from gamegraphs.eulerian import (
     _all_cycles,
     _feedback_order,
     _simple_path,
-    _tight_order,
     count_eulerian_subgraphs,
     cycle_decomposition,
     cycle_edges,
@@ -62,6 +61,7 @@ from conftest import (
     oracle_cycle_through,
     oracle_euler_trail,
     oracle_eulerian_count,
+    oracle_feedback_order,
     oracle_is_order,
     oracle_all_cycles,
     oracle_simple_path,
@@ -129,8 +129,9 @@ def plan_any_deltas_at_9():
 # search's witness is broken by listing every cycle backwards (the masks,
 # and so the search, are unchanged), the greedy one by dropping a cycle;
 # the feedback order by naming a vertex twice, its claimed tau by one more
-# than the order's backward edges; the tight order on C9 by naming a vertex
-# twice, and by running backwards (26 backward edges, not the claimed 10).
+# than the order's backward edges, both where the search runs (ring) and
+# where the root certifies the greedy (C9: the order reversed has 26
+# backward edges, not the claimed 10).
 _BROKEN_WITNESS = """
 import dataclasses
 from unittest import mock
@@ -142,7 +143,6 @@ from gamegraphs.errors import InvariantViolation
 if __debug__:
     raise SystemExit("asserts are live")
 all_cycles, lower_bound, feedback_order = eulerian._all_cycles, eulerian.span_lower_bound, eulerian._feedback_order
-tight_order = eulerian._tight_order
 
 
 def backwards(*args):
@@ -154,23 +154,19 @@ def short(d):
     return dataclasses.replace(rep, witness=rep.witness[:-1])
 
 
-def repeated(d):
-    order, tau = feedback_order(d)
+def repeated(d, cycles):
+    order, tau = feedback_order(d, cycles)
     return order[:-1] + order[:1], tau
 
 
-def overclaimed(d):
-    order, tau = feedback_order(d)
+def overclaimed(d, cycles):
+    order, tau = feedback_order(d, cycles)
     return order, tau + 1
 
 
-def tight_repeated(d, cycles):
-    order = tight_order(d, cycles)
-    return order[:-1] + order[:1]
-
-
-def tight_reversed(d, cycles):
-    return tight_order(d, cycles)[::-1]
+def reversed_order(d, cycles):
+    order, tau = feedback_order(d, cycles)
+    return order[::-1], tau
 
 
 ring = EdgeSet(9, [(i, (i + 1) % 9) for i in range(9)] + [(6, 3), (3, 0), (0, 6)])
@@ -179,8 +175,8 @@ cases = [
     ("greedy", mock.patch.object(eulerian, "span_lower_bound", short), circulant(7, (1, 2, 3))),
     ("order", mock.patch.object(eulerian, "_feedback_order", repeated), ring),
     ("tau", mock.patch.object(eulerian, "_feedback_order", overclaimed), ring),
-    ("tight_repeated", mock.patch.object(eulerian, "_tight_order", tight_repeated), circulant(9, (1, 2, 3, 4))),
-    ("tight_reversed", mock.patch.object(eulerian, "_tight_order", tight_reversed), circulant(9, (1, 2, 3, 4))),
+    ("tight_repeated", mock.patch.object(eulerian, "_feedback_order", repeated), circulant(9, (1, 2, 3, 4))),
+    ("tight_reversed", mock.patch.object(eulerian, "_feedback_order", reversed_order), circulant(9, (1, 2, 3, 4))),
 ]
 for name, patch, d in cases:
     with patch:
@@ -452,11 +448,13 @@ class TestSpan:
         (circulant(9, (1, 2, 3, 4)), 1),
         (from_rows(11, SPAN17_GREEDY_16), 117),
         (from_rows(11, SPAN17_GREEDY_MAX), 1),
-    ], ids=["C9", "SPAN17_GREEDY_16", "SPAN17_GREEDY_MAX"])
+        (from_rows(11, SPAN18_GREEDY_17), 297),
+    ], ids=["C9", "SPAN17_GREEDY_16", "SPAN17_GREEDY_MAX", "SPAN18_GREEDY_17"])
     def test_node_count_pinned(self, d, nodes):
         # the root and every fitting child count one node, so a search that
         # visits the same nodes completes at exactly this budget; a greedy
-        # decomposition certified at the root takes the root alone
+        # decomposition certified at the root takes the root alone, and one
+        # below floor(edges / 3) branches with the least tau's backward edges
         assert span(d, node_budget=nodes) == span(d)
         with pytest.raises(BudgetExceeded):
             span(d, node_budget=nodes - 1)
@@ -472,29 +470,32 @@ class TestSpan:
         graphs += [random_eulerian_edgeset(20, rng, rng.randint(2, 4)) for _ in range(8)]
         for d in graphs:
             if d.edge_count():
-                _, tau = _feedback_order(d)
+                _, tau = _feedback_order(d, span_lower_bound(d).witness)
                 assert span(d).span <= tau
 
     def test_feedback_order_is_a_minimum(self):
-        # the subset DP against every order of the vertices with edges
+        # the order search from either partition against every order of the
+        # vertices with edges
         rng = random.Random(19)
         for p in (5, 6, 7):
             for _ in range(4):
                 d = random_eulerian_edgeset(p, rng, tries=6)
                 edges = d.edges()
-                order, tau = _feedback_order(d)
                 verts = sorted({v for e in edges for v in e})
-                assert sorted(order) == verts
-                assert tau == sum(order.index(u) > order.index(v) for (u, v) in edges)
                 tau_min = min(
                     sum(perm.index(u) > perm.index(v) for (u, v) in edges) for perm in permutations(verts)
                 )
-                assert tau == tau_min
+                for cycles in (span_lower_bound(d).witness, cycle_decomposition(d)):
+                    order, tau = _feedback_order(d, cycles)
+                    assert sorted(order) == verts
+                    assert tau == sum(order.index(u) > order.index(v) for (u, v) in edges)
+                    assert tau == tau_min
 
     def test_feedback_order_is_the_identity_past_the_exact_size(self):
-        # the subset DP costs 2^k; past 11 vertices with edges the order is
-        # the identity, whose tau on C13 is 1 + 2 + ... + 6
-        assert _feedback_order(circulant(13, range(1, 7))) == (list(range(13)), 21)
+        # past 11 vertices with edges the order is the identity, whose tau
+        # on C13 is 1 + 2 + ... + 6
+        d = circulant(13, range(1, 7))
+        assert _feedback_order(d, span_lower_bound(d).witness) == (list(range(13)), 21)
 
     @pytest.mark.parametrize("p", [11, 13, 15])
     def test_initial_circulant_balance_is_n_squared(self, p):
@@ -514,7 +515,7 @@ class TestSpan:
             assert span(d) == oracle_span_search(d)
 
     def test_same_report_as_plain_search_on_size11_games(self):
-        pinned = [from_rows(11, rows) for rows in (SPAN17_GREEDY_MAX, SPAN17_GREEDY_16)]
+        pinned = [from_rows(11, rows) for rows in (SPAN17_GREEDY_MAX, SPAN17_GREEDY_16, SPAN18_GREEDY_17)]
         # disjoint walks from C11 (span 15): (steps, seed) -> span 17 or 18
         c11 = circulant(11, range(1, 6))
         walks = [disjoint_walk(c11, steps, random.Random(seed))
@@ -549,6 +550,15 @@ def _backward(d, order):
     return sum(pos[u] > pos[v] for (u, v) in d.edges())
 
 
+def _oriented_connection_sets(p):
+    """Every connection set S of 1..p-1 with no j and p - j both in S, so
+    that circulant(p, S) has no 2-cycle."""
+    for s in range(1 << (p - 1)):
+        conns = [j for j in range(1, p) if (s >> (j - 1)) & 1]
+        if all(p - j not in conns for j in conns):
+            yield conns
+
+
 def _walk_games(p, count, rng):
     """Games up to 3p uniform 3-cycle flips from the cyclic game C_p."""
     games = []
@@ -561,40 +571,43 @@ def _walk_games(p, count, rng):
     return games
 
 
-class TestTightOrder:
-    """The order search from the greedy's own cycles: an order in which
-    every cycle of the partition has one backward edge exists iff the least
-    tau equals the number of cycles."""
+class TestFeedbackOrder:
+    """The order search from a partition's own cycles: tau is the least
+    over all orders, so it equals the number of cycles iff some order gives
+    every cycle of the partition one backward edge."""
 
     @staticmethod
     def check(d, cycles):
-        order = _tight_order(d, cycles)
-        if order is not None:
-            assert sorted(order) == [v for v in range(d.p) if d.rows[v]]
-            for cyc in cycles:
-                pos = [order.index(v) for v in cyc]
-                assert sum(a > b for a, b in zip(pos, pos[1:] + pos[:1])) == 1
+        """The order when it is tight for the cycles, else None."""
+        order, tau = _feedback_order(d, cycles)
+        assert sorted(order) == [v for v in range(d.p) if d.rows[v]]
+        assert _backward(d, order) == tau >= len(cycles)
+        if tau > len(cycles):
+            return None
+        for cyc in cycles:
+            pos = [order.index(v) for v in cyc]
+            assert sum(a > b for a, b in zip(pos, pos[1:] + pos[:1])) == 1
         return order
 
-    def test_found_iff_the_least_tau_meets_the_greedy(self):
+    def test_same_order_as_the_subset_dp(self):
+        # the subset DP (tests/conftest.py) on both partitions: the same
+        # least tau, and the same order, tight or not
         rng = random.Random(29)
-        graphs = [random_eulerian_edgeset(p, rng, rng.randint(3, 30)) for p in range(5, 10) for _ in range(16)]
-        graphs += [g for p in (5, 7, 9) for g in _walk_games(p, 12, rng)]
+        graphs = [random_eulerian_edgeset(p, rng, rng.randint(2, 30)) for p in range(3, 12) for _ in range(12)]
+        graphs += [circulant(p, conns) for p in range(3, 11) for conns in _oriented_connection_sets(p)]
+        graphs += [g for p in (5, 7, 9, 11) for g in _walk_games(p, 8, rng)]
         c11 = circulant(11, range(1, 6))
         graphs += [disjoint_walk(c11, steps, random.Random(seed)) for steps in (1, 2, 3, 4, 5) for seed in (0, 1, 2)]
-        graphs += [from_rows(11, rows) for rows in (SPAN17_GREEDY_MAX, SPAN17_GREEDY_16, SPAN18_GREEDY_17)]
+        graphs += [from_rows(11, rows) for rows in (SPAN17_GREEDY_MAX, SPAN17_GREEDY_16, SPAN18_GREEDY_17, GAP_CLASS)]
         outcomes = Counter()
         for d in graphs:
             if not d.edge_count():
                 continue
-            greedy = span_lower_bound(d)
-            order = self.check(d, greedy.witness)
-            _, tau_min = _feedback_order(d)
-            assert (order is not None) == (tau_min == greedy.span)
-            if order is not None:
-                assert _backward(d, order) == greedy.span
-            outcomes[order is not None] += 1
-        assert outcomes[True] >= 10 and outcomes[False] >= 10
+            want = oracle_feedback_order(d)
+            for cycles in (span_lower_bound(d).witness, cycle_decomposition(d)):
+                assert _feedback_order(d, cycles) == want
+                outcomes[self.check(d, cycles) is not None] += 1
+        assert outcomes[True] >= 100 and outcomes[False] >= 100
 
     def test_against_every_permutation(self):
         # the greedy's cycles and the plain peel's, against every order
@@ -627,24 +640,8 @@ class TestTightOrder:
     def test_gap_class_greedy_and_span(self):
         d = from_rows(11, GAP_CLASS)
         assert span_lower_bound(d).span == 16
-        assert _feedback_order(d)[1] == 18
+        assert _feedback_order(d, span_lower_bound(d).witness)[1] == 18
         assert span(d).span == 17
-
-    def test_span_runs_no_dp_when_the_greedy_is_certified_or_one_short(self, monkeypatch):
-        # found: the tight order certifies the greedy; refuted with
-        # greedy + 1 = floor(edges / 3): the search branches on the identity
-        # order, and the report is the plain search's
-        games = [circulant(9, (1, 2, 3, 4)), from_rows(11, SPAN17_GREEDY_MAX), from_rows(11, SPAN18_GREEDY_17)]
-        want = [span(d) for d in games]
-        assert [rep.span for rep in want] == [10, 17, 18]
-        assert span_lower_bound(games[2]).span == 17 and games[2].edge_count() // 3 == 18
-
-        def no_dp(d):
-            raise RuntimeError("the feedback-order DP ran")
-
-        monkeypatch.setattr(eulerian, "_feedback_order", no_dp)
-        assert [span(d) for d in games] == want
-        assert want[2] == oracle_span_search(games[2])
 
 
 class TestStrongComponents:
